@@ -18,11 +18,12 @@ import (
 
 // The control workload's fleet and traffic.
 const (
-	controlJobs   = 32  // characterized and managed during set-up
-	pollersPerJob = 2   // trainers parked on each job's schedule
-	controlTicks  = 80  // controller ticks per run, evenly spaced
-	readRate      = 200 // offered open-loop operations per second
-	forecastSigma = 0.2 // revising forecast's error scale
+	controlJobs   = 32   // characterized and managed during set-up
+	pollersPerJob = 2    // trainers parked on each job's schedule
+	controlTicks  = 80   // controller ticks per run, evenly spaced
+	offeredRate   = 200  // offered open-loop operations per second
+	writeShare    = 0.02 // share of open-loop operations that are writes
+	forecastSigma = 0.2  // revising forecast's error scale
 	maxReschedule = 10 * time.Second
 )
 
@@ -71,40 +72,42 @@ type controlInputs struct {
 	ops          []ctrlOp
 }
 
-// controlPlan draws the fleet and an open-loop operation sequence. The
-// writes and the periodic reads sit at fixed offsets within each second
-// (readRate operations): one /metrics scrape, one ledger read, one
-// fleet-cap write (binding and lifted in turn) and four straggler
-// notices or recoveries a second, so
-// every seed disturbs the reads equally often. The remaining operations
-// are conditional schedule reads (60%) and grid-plan reads (40%).
+// controlPlan draws the fleet and an open-loop operation sequence.
+// Most operations are trainer reads, in rounds of two for one seeded
+// job: a conditional schedule read, then a grid-plan read. A seeded
+// writeShare of operations are writes instead, half straggler notices
+// or recoveries and half fleet-cap writes (a binding cap and no cap in
+// turn). Once a second, at fixed offsets, a /metrics scrape and a
+// ledger read run.
 func controlPlan(seed int64, nOps int) controlInputs {
 	rng := rand.New(rand.NewSource(seed))
 	ci := controlInputs{shapes: fleetShapes(rng, controlJobs), forecastSeed: rng.Int63()}
 	for range ci.shapes {
 		ci.targetFrac = append(ci.targetFrac, 0.3+0.25*rng.Float64())
 	}
+	capped := false
+	round := ctrlOp{kind: opPlan}
 	for i := 0; i < nOps; i++ {
 		op := ctrlOp{job: rng.Intn(controlJobs)}
-		switch i % readRate {
-		case 0:
+		switch {
+		case i%offeredRate == 0:
 			op.kind = opScrape
-		case readRate / 2:
+		case i%offeredRate == offeredRate/2:
 			op.kind = opLedger
-		case readRate / 4:
-			// Alternate a binding cap with no cap, so that every
-			// write moves every job's floor.
-			op.kind = opCap
-			if i/readRate%2 == 0 {
-				op.capFrac = 0.75 + 0.1*rng.Float64()
-			}
-		case readRate / 8, 3 * readRate / 8, 5 * readRate / 8, 7 * readRate / 8:
+		case rng.Float64() < writeShare:
 			op.kind = opStraggler
-		default:
-			op.kind = opPlan
-			if rng.Float64() < 0.6 {
-				op.kind = opSchedule
+			if rng.Intn(2) == 0 {
+				op.kind = opCap
+				if capped = !capped; capped {
+					op.capFrac = 0.75 + 0.1*rng.Float64()
+				}
 			}
+		case round.kind == opPlan:
+			op.kind = opSchedule
+			round = op
+		default:
+			round.kind = opPlan
+			op = round
 		}
 		ci.ops = append(ci.ops, op)
 	}
@@ -277,9 +280,9 @@ func setupControl(b *bench, ci controlInputs, trainers []trainerPlan) (*controlS
 // runControl is the control workload: controlTicks controller ticks
 // spread over the run, each advancing the fake clock one signal
 // interval, beside an open loop of trainer reads and a few writes at
-// readRate operations per second on at most nproc connections.
+// offeredRate operations per second on at most nproc connections.
 func runControl(b *bench) error {
-	ci := controlPlan(b.seed, int(math.Ceil(readRate*b.seconds))+readRate)
+	ci := controlPlan(b.seed, int(math.Ceil(offeredRate*b.seconds))+offeredRate)
 	var trainers []trainerPlan
 	for _, s := range ci.shapes {
 		tp, err := b.in.trainer(s)
@@ -321,7 +324,7 @@ func runControl(b *bench) error {
 		reschedule, fleetReschedule = runTicks(b, cs, start)
 	}()
 
-	ol := openLoop{start: start, rate: readRate}
+	ol := openLoop{start: start, rate: offeredRate}
 	var next atomic.Int64
 	known := make([]atomic.Int64, controlJobs)
 	var stragMu sync.Mutex
@@ -416,7 +419,7 @@ func runControl(b *bench) error {
 		sum += l
 	}
 	b.layers["gen.lateness_s"] = sum / float64(len(lateAll))
-	b.setNamed("offered_rate", readRate, "1/s")
+	b.setNamed("offered_rate", offeredRate, "1/s")
 	b.setNamed("achieved_rate", float64(len(lateAll))/b.seconds, "1/s")
 
 	post := b.tr.root("post")
@@ -434,21 +437,8 @@ func runControl(b *bench) error {
 	}
 
 	if b.tr != nil {
-		tables, err := replayLayers(b, ci.shapes, 0.85*cs.uncapped)
-		if err != nil {
-			return err
-		}
-		sig := quarterHourDiurnal()
-		root := b.tr.root("replay")
-		for i, s := range ci.shapes {
-			sp := root.child("grid.optimize")
-			_, err := grid.Optimize(tables[s], sig, grid.Options{Target: cs.targets[i], DeadlineS: cs.deadline})
-			sp.end()
-			if err != nil {
-				return err
-			}
-		}
-		root.end()
+		// The replay plans the middle of the fleet's target range.
+		return replayLayers(b, ci.shapes, 0.85*cs.uncapped, plannerReplay{quarterHourDiurnal(), cs.deadline, 0.425})
 	}
 	return nil
 }

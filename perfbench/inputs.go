@@ -6,6 +6,8 @@ import (
 	"math/rand"
 
 	"perseus/internal/client"
+	"perseus/internal/dag"
+	"perseus/internal/frontier"
 	"perseus/internal/gpu"
 	"perseus/internal/model"
 	"perseus/internal/partition"
@@ -83,11 +85,12 @@ type profileInput struct {
 	Prof      *profile.Profile
 }
 
-// inputs caches generated profiles: jobs with the same model and stage
-// count share one.
+// inputs caches generated profiles (jobs with the same model and stage
+// count share one) and the benchmark's own Tmin per shape.
 type inputs struct {
 	g        *gpu.Model
 	profiles map[string]*profileInput
+	tmins    map[shape]float64
 }
 
 func newInputs() (*inputs, error) {
@@ -95,7 +98,32 @@ func newInputs() (*inputs, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &inputs{g: g, profiles: map[string]*profileInput{}}, nil
+	return &inputs{g: g, profiles: map[string]*profileInput{}, tmins: map[shape]float64{}}, nil
+}
+
+// refTmin is a shape's Tmin as the benchmark characterizes it itself,
+// on the path the server takes (dag.Build with unit costs, then
+// frontier.Characterize at the shape's τ): the reference the onboarding
+// checks hold deployed schedules to, rather than the Tmin the server
+// under test reports.
+func (in *inputs) refTmin(s shape) (float64, error) {
+	if t, ok := in.tmins[s]; ok {
+		return t, nil
+	}
+	tp, err := in.trainer(s)
+	if err != nil {
+		return 0, err
+	}
+	g, err := dag.Build(tp.Sched, func(sched.Op) int64 { return 1 })
+	if err != nil {
+		return 0, err
+	}
+	f, err := frontier.Characterize(g, tp.Profile.Prof, frontier.Options{Unit: s.Unit})
+	if err != nil {
+		return 0, err
+	}
+	in.tmins[s] = f.Tmin()
+	return f.Tmin(), nil
 }
 
 // profile returns the analytic profiler sweep for a shape: every
@@ -176,6 +204,7 @@ type trainerPlan struct {
 	Remove  bool // removed right after upload, before its schedule arrives
 	Profile *profileInput
 	Sched   *sched.Schedule
+	RefTmin float64 // onboarding trainers: refTmin of Shape
 }
 
 // dealer deals shapes from a seeded shuffled deck per class,
@@ -200,7 +229,8 @@ func (d *dealer) deal(cls costClass) shape {
 
 // onboardPlan generates passes of trainers: each pass fills passLayout
 // in a seeded order from the class decks, and removes one seeded
-// small-class trainer right after its upload.
+// small-class trainer right after its upload. Every trainer carries its
+// shape's reference Tmin.
 func (in *inputs) onboardPlan(seed int64, passes int) ([]trainerPlan, error) {
 	rng := rand.New(rand.NewSource(seed))
 	d := newDealer(rng)
@@ -214,6 +244,9 @@ func (in *inputs) onboardPlan(seed int64, passes int) ([]trainerPlan, error) {
 				return nil, err
 			}
 			tp.Remove = slot == removeSlot
+			if tp.RefTmin, err = in.refTmin(tp.Shape); err != nil {
+				return nil, err
+			}
 			out = append(out, tp)
 		}
 	}

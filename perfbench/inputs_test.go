@@ -93,16 +93,45 @@ func TestControlAndPlacementInputsSeeded(t *testing.T) {
 	if reflect.DeepEqual(controlPlan(3, 5000).ops, controlPlan(4, 5000).ops) {
 		t.Fatal("control: different seeds generated the same operations")
 	}
-	ci := controlPlan(3, 2*readRate)
+	ci := controlPlan(3, 50*offeredRate)
+	writes, binding, lifted := 0, 0, 0
+	var pending *ctrlOp // a round's schedule read, waiting for its plan read
 	for i, op := range ci.ops {
 		switch {
-		case i%readRate == 0 && op.kind != opScrape:
-			t.Errorf("op %d: kind %d, want the once-a-second scrape", i, op.kind)
-		case i%readRate == readRate/2 && op.kind != opLedger:
-			t.Errorf("op %d: kind %d, want the once-a-second ledger read", i, op.kind)
-		case i%readRate == readRate/4 && op.kind != opCap:
-			t.Errorf("op %d: kind %d, want the once-a-second cap write", i, op.kind)
+		case i%offeredRate == 0:
+			if op.kind != opScrape {
+				t.Errorf("op %d: kind %d, want the once-a-second scrape", i, op.kind)
+			}
+		case i%offeredRate == offeredRate/2:
+			if op.kind != opLedger {
+				t.Errorf("op %d: kind %d, want the once-a-second ledger read", i, op.kind)
+			}
+		case op.kind == opStraggler:
+			writes++
+		case op.kind == opCap:
+			writes++
+			if op.capFrac > 0 {
+				binding++
+			} else {
+				lifted++
+			}
+			if binding-lifted != 0 && binding-lifted != 1 {
+				t.Fatalf("op %d: cap writes do not alternate a binding cap with none", i)
+			}
+		case op.kind == opSchedule:
+			if pending != nil {
+				t.Fatalf("op %d: a schedule read before the previous round's plan read", i)
+			}
+			pending = &ci.ops[i]
+		case op.kind == opPlan:
+			if pending == nil || pending.job != op.job {
+				t.Fatalf("op %d: a plan read outside a round of its job", i)
+			}
+			pending = nil
 		}
+	}
+	if share := float64(writes) / float64(len(ci.ops)); share < 0.7*writeShare || share > 1.3*writeShare {
+		t.Errorf("writes are %.4f of operations, want about %g", share, writeShare)
 	}
 	h1, r1 := placementPlan(5, 100)
 	h2, r2 := placementPlan(5, 100)

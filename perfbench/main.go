@@ -49,99 +49,98 @@ var e2eMetrics = []struct{ name, unit string }{
 // Per-layer metrics, printed by the traced run of every workload; a
 // layer the workload does not reach reads 0 there. The result line
 // carries only the metrics that every workload measures (everywhere);
-// the others are printed and kept in the run record.
+// the others are printed and kept in the run record. A metric with a
+// span reports the mean duration of the benchmark-side spans of that
+// name, unless the workload set it itself.
 var layerMetrics = []struct {
 	name, unit string
 	everywhere bool
+	span       string
 }{
-	{"client.register_s", "s", false},
-	{"server.upload_s", "s", false},
-	{"server.upload_bytes", "B", false},
-	{"server.char_wait_s", "s", false},
-	{"server.straggler_s", "s", false},
-	{"server.remove_s", "s", false},
-	{"profile.assemble_s", "s", true},
-	{"dag.build_s", "s", true},
-	{"frontier.characterize_s", "s", true},
-	{"frontier.points", "count", true},
-	{"frontier.step_us", "us", true},
-	{"frontier.table_s", "s", true},
-	{"frontier.lookup_ns", "ns", true},
-	{"cluster.iteration_s", "s", false},
-	{"obs.series", "count", true},
-	{"obs.exposition_bytes", "B", true},
-	{"obs.scrape_s", "s", true},
-	{"server.tick_s", "s", false},
-	{"server.replan_solve_s", "s", false},
-	{"grid.optimize_s", "s", false},
-	{"server.version_bumps", "count", false},
-	{"server.hub_wake_s", "s", false},
-	{"server.hub_broadcasts", "count", false},
-	{"server.replan_failures", "count", false},
-	{"server.fetch_schedule_s", "s", false},
-	{"server.grid_plan_s", "s", false},
-	{"server.cache_hit_ratio", "ratio", false},
-	{"server.cache_coalesced", "count", false},
-	{"server.cache_evictions", "count", false},
-	{"server.in_flight_max", "count", true},
-	{"gen.lateness_s", "s", false},
-	{"server.cap_s", "s", false},
-	{"fleet.allocate_s", "s", true},
-	{"server.ledger_s", "s", true},
-	{"server.regions_plan_s", "s", false},
-	{"region.optimize_s", "s", false},
-	{"region.migrations", "count", false},
-	{"region.feasible_frac", "ratio", false},
-	{"server.http_4xx", "count", false},
-	{"server.http_5xx", "count", false},
+	{"client.register_s", "s", false, "client.register"},
+	{"server.upload_s", "s", false, "server.upload"},
+	{"server.upload_bytes", "B", false, ""},
+	{"server.char_wait_s", "s", false, "server.char_wait"},
+	{"server.straggler_s", "s", false, "server.straggler"},
+	{"server.remove_s", "s", false, "server.remove"},
+	{"profile.assemble_s", "s", true, "profile.assemble"},
+	{"dag.build_s", "s", true, "dag.build"},
+	{"frontier.characterize_s", "s", true, "frontier.characterize"},
+	{"frontier.points", "count", true, ""},
+	{"frontier.step_us", "us", true, ""},
+	{"frontier.table_s", "s", true, "frontier.table"},
+	{"frontier.lookup_ns", "ns", true, ""},
+	{"cluster.iteration_s", "s", false, "cluster.iteration"},
+	{"obs.series", "count", true, ""},
+	{"obs.exposition_bytes", "B", true, ""},
+	{"obs.scrape_s", "s", true, "obs.scrape"},
+	{"server.tick_s", "s", false, ""},
+	{"server.replan_solve_s", "s", false, ""},
+	{"grid.optimize_s", "s", true, "grid.optimize"},
+	{"server.version_bumps", "count", false, ""},
+	{"server.hub_wake_s", "s", false, ""},
+	{"server.hub_broadcasts", "count", false, ""},
+	{"server.replan_failures", "count", false, ""},
+	{"server.fetch_schedule_s", "s", false, "server.fetch_schedule"},
+	{"server.grid_plan_s", "s", false, "server.grid_plan"},
+	{"server.cache_hit_ratio", "ratio", false, ""},
+	{"server.cache_coalesced", "count", false, ""},
+	{"server.cache_evictions", "count", false, ""},
+	{"server.in_flight_max", "count", true, ""},
+	{"gen.lateness_s", "s", false, ""},
+	{"server.cap_s", "s", false, "server.cap"},
+	{"fleet.allocate_s", "s", true, "fleet.allocate"},
+	{"server.ledger_s", "s", true, "server.ledger"},
+	{"server.regions_plan_s", "s", false, "server.regions_plan"},
+	{"region.optimize_s", "s", true, "region.optimize"},
+	{"region.migrations", "count", false, ""},
+	{"region.feasible_frac", "ratio", false, ""},
+	{"server.http_4xx", "count", false, ""},
+	{"server.http_5xx", "count", false, ""},
 }
 
-// spanLayers maps per-layer metrics to the benchmark-side span whose
-// mean duration they report.
-var spanLayers = map[string]string{
-	"client.register_s":       "client.register",
-	"server.upload_s":         "server.upload",
-	"server.char_wait_s":      "server.char_wait",
-	"server.straggler_s":      "server.straggler",
-	"server.remove_s":         "server.remove",
-	"cluster.iteration_s":     "cluster.iteration",
-	"obs.scrape_s":            "obs.scrape",
-	"server.fetch_schedule_s": "server.fetch_schedule",
-	"server.grid_plan_s":      "server.grid_plan",
-	"server.cap_s":            "server.cap",
-	"server.ledger_s":         "server.ledger",
-	"server.regions_plan_s":   "server.regions_plan",
-	"profile.assemble_s":      "profile.assemble",
-	"dag.build_s":             "dag.build",
-	"frontier.characterize_s": "frontier.characterize",
-	"frontier.table_s":        "frontier.table",
-	"grid.optimize_s":         "grid.optimize",
-	"fleet.allocate_s":        "fleet.allocate",
-	"region.optimize_s":       "region.optimize",
-}
+// A run builds its set-up setupsBefore times before the timed phase,
+// keeping the last, and setupsAfter times once the workload has ended;
+// setup_s is the median of them all. On a shared machine the builds of
+// one moment agree while moments half a minute apart differ by up to
+// 40%, so the builds straddle the timed phase.
+const (
+	setupsBefore = 4
+	setupsAfter  = 4
+)
 
-// setupRepeats is how many times a run builds its set-up; setup_s is
-// the median.
-const setupRepeats = 3
-
-// setUp builds a workload's set-up setupRepeats times, timing each
+// setUp builds a workload's set-up setupsBefore times, timing each
 // build for setup_s, and returns the last; each earlier one is torn
 // down before the next starts. A failing build tears down what it
-// built itself.
+// built itself. It leaves b.resetup to time one more build and tear
+// it down.
 func setUp[T interface{ close() }](b *bench, build func() (T, error)) (T, error) {
-	var last T
-	for i := 0; i < setupRepeats; i++ {
-		if i > 0 {
-			last.close()
-		}
+	timed := func() (T, error) {
 		t0 := time.Now()
 		s, err := build()
 		if err != nil {
-			var zero T
-			return zero, fmt.Errorf("set-up: %w", err)
+			return s, fmt.Errorf("set-up: %w", err)
 		}
 		b.setupS = append(b.setupS, time.Since(t0).Seconds())
+		return s, nil
+	}
+	var last T
+	for i := 0; i < setupsBefore; i++ {
+		if i > 0 {
+			last.close()
+		}
+		s, err := timed()
+		if err != nil {
+			return s, err
+		}
 		last = s
+	}
+	b.resetup = func() error {
+		s, err := timed()
+		if err == nil {
+			s.close()
+		}
+		return err
 	}
 	return last, nil
 }
@@ -160,6 +159,7 @@ type bench struct {
 	failures  []string
 
 	setupS    []float64
+	resetup   func() error // times one more set-up build (see setUp)
 	latency   []float64 // the workload's primary operation
 	savingPct float64
 	heapPeak  float64
@@ -235,6 +235,14 @@ func main() {
 	}
 	if err := run(b); err != nil {
 		fatal(fmt.Errorf("%s: %w", *workload, err))
+	}
+	// Collect the workload's garbage first, so that these builds start
+	// from a heap like the first ones did.
+	runtime.GC()
+	for i := 0; i < setupsAfter; i++ {
+		if err := b.resetup(); err != nil {
+			fatal(fmt.Errorf("%s: %w", *workload, err))
+		}
 	}
 	if err := report(b, *rev, *out, *trace); err != nil {
 		fatal(err)
@@ -314,12 +322,10 @@ func report(b *bench, rev, outDir string, trace int) error {
 		}
 	} else {
 		stats := layerStats(b.tr.spans)
-		for metric, spanName := range spanLayers {
-			if _, set := b.layers[metric]; !set {
-				b.layers[metric] = stats[spanName].MeanS
-			}
-		}
 		for _, m := range layerMetrics {
+			if _, set := b.layers[m.name]; !set && m.span != "" {
+				b.layers[m.name] = stats[m.span].MeanS
+			}
 			if m.everywhere {
 				metricsOut[m.name] = metricOut{b.layers[m.name], m.unit}
 			}

@@ -71,6 +71,13 @@ func placementPlan(seed int64, n int) ([]int, []placeReq) {
 	return homes, reqs[:n]
 }
 
+// middleRequest is a grid.Optimize replay at the middle of the
+// placement requests' deadline and target ranges, on the west region's
+// signal; workloads without planner inputs of their own replay it too.
+func middleRequest() plannerReplay {
+	return plannerReplay{region.PhaseShiftedPair(1)[0].Signal, 3600 * (deadlineMinH + deadlineSpanH/2.0), 0.45}
+}
+
 // setupPlacement registers the phase-shifted region pair (each region
 // can hold the whole fleet), characterizes the fleet and places every
 // job in its home region. It returns the slowest job's Tmin.
@@ -212,35 +219,7 @@ func runPlacement(b *bench) error {
 	}
 
 	if b.tr != nil {
-		tables, err := replayLayers(b, shapes, 0)
-		if err != nil {
-			return err
-		}
-		root := b.tr.root("replay")
-		for _, rq := range reqs[:min(5, len(reqs))] {
-			target := math.Floor(rq.TargetFrac * rq.DeadlineS / tmin)
-			jobs := make([]region.Job, len(shapes))
-			for i, s := range shapes {
-				jobs[i] = region.Job{ID: fmt.Sprint("job-", i+1), Table: tables[s], GPUs: s.Stages,
-					Target: target, DeadlineS: rq.DeadlineS}
-			}
-			sp := root.child("region.optimize")
-			_, err := region.Optimize(regs, jobs, region.Options{
-				Migration: region.MigrationCost{DowntimeS: rq.DowntimeS, EnergyJ: rq.MigrationJ}})
-			sp.end()
-			if err != nil {
-				return err
-			}
-			for i := range jobs {
-				sp := root.child("grid.optimize")
-				_, err := grid.Optimize(jobs[i].Table, regs[homes[i]].Signal, grid.Options{Target: target, DeadlineS: rq.DeadlineS})
-				sp.end()
-				if err != nil {
-					return err
-				}
-			}
-		}
-		root.end()
+		return replayLayers(b, shapes, 0, middleRequest())
 	}
 	return nil
 }
