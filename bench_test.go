@@ -16,7 +16,6 @@ import (
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
 	"perseus/internal/grid"
-	"perseus/internal/maxflow"
 	"perseus/internal/model"
 	"perseus/internal/obs"
 	"perseus/internal/partition"
@@ -573,29 +572,6 @@ func BenchmarkLedgerSettle(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				led.Settle(ids[i%jobs], entry)
-			}
-		})
-	}
-}
-
-func BenchmarkAblationMaxFlowSolver(b *testing.B) {
-	// Edmonds-Karp (the paper's solver) vs Dinic on the same workload.
-	cfg := experiments.A100Workloads()[0]
-	for _, solver := range []struct {
-		name string
-		s    maxflow.Solver
-	}{{"edmonds-karp", maxflow.EdmondsKarp}, {"dinic", maxflow.Dinic}} {
-		b.Run(solver.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				graph, prof, unit, err := experiments.BuildForAblation(cfg, gpu.A100PCIe, benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := frontier.Characterize(graph, prof, frontier.Options{
-					Unit: unit, Solver: solver.s,
-				}); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

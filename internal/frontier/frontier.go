@@ -50,11 +50,6 @@ type Options struct {
 	// (ablation, DESIGN.md §5).
 	PiecewiseFit bool
 
-	// Solver selects the max-flow algorithm inside the min-cut
-	// subroutine. Default maxflow.EdmondsKarp, the paper's choice;
-	// maxflow.Dinic computes identical cuts faster.
-	Solver maxflow.Solver
-
 	// keyframeEvery controls duration-snapshot spacing for plan
 	// reconstruction; exposed for tests.
 	keyframeEvery int
@@ -68,7 +63,7 @@ func (o Options) withDefaults() Options {
 		o.MaxSteps = 500000
 	}
 	if o.Stepper == nil {
-		o.Stepper = MinCutStepper{Solver: o.Solver}
+		o.Stepper = MinCutStepper{}
 	}
 	if o.keyframeEvery <= 0 {
 		o.keyframeEvery = 256
@@ -425,13 +420,10 @@ func unitsFloor(sec, unit float64) int64 {
 // maximum flow with lower bounds. S→T cut computations speed up by one
 // unit; T→S cut computations slow down by one unit, reclaiming energy
 // (Appendix E.1).
-type MinCutStepper struct {
-	// Solver selects the max-flow algorithm (default Edmonds-Karp).
-	Solver maxflow.Solver
-}
+type MinCutStepper struct{}
 
 // Step implements Stepper.
-func (m MinCutStepper) Step(st *state) (bool, error) {
+func (MinCutStepper) Step(st *state) (bool, error) {
 	g := st.g
 	est := g.EarliestStarts()
 	mk := est[g.Sink]
@@ -492,7 +484,7 @@ func (m MinCutStepper) Step(st *state) (bool, error) {
 	}
 	s := int(nodeID[g.Source])
 	t := int(nodeID[g.Sink]) + 1
-	res, err := maxflow.MinCutWithBoundsUsing(m.Solver, next, edges, s, t)
+	res, err := maxflow.MinCutWithBounds(next, edges, s, t)
 	if errors.Is(err, maxflow.ErrInfeasible) {
 		// No circulation satisfies every slow-down credit (Hoffman
 		// violation): some set of computations could be slowed for more
@@ -508,7 +500,7 @@ func (m MinCutStepper) Step(st *state) (bool, error) {
 			e.Lower = 0
 			zeroed[i] = e
 		}
-		res, err = maxflow.MinCutWithBoundsUsing(m.Solver, next, zeroed, s, t)
+		res, err = maxflow.MinCutWithBounds(next, zeroed, s, t)
 	}
 	if err != nil {
 		return false, fmt.Errorf("frontier: min cut: %w", err)

@@ -1,18 +1,24 @@
 package frontier
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"perseus/internal/dag"
 	"perseus/internal/gpu"
-	"perseus/internal/maxflow"
 	"perseus/internal/model"
 	"perseus/internal/partition"
 	"perseus/internal/profile"
 	"perseus/internal/sched"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildCase assembles a DAG + profile for a model/GPU/pipeline combination.
 func buildCase(t *testing.T, modelName string, g *gpu.Model, stages, micro, mbSize int, schedule string) (*dag.Graph, *profile.Profile, Options) {
@@ -541,31 +547,6 @@ func TestEmptyDAGRejected(t *testing.T) {
 	}
 }
 
-// TestSolverEquivalence checks the Dinic-backed optimizer produces the
-// exact same frontier as the paper's Edmonds-Karp.
-func TestSolverEquivalence(t *testing.T) {
-	g1, p, opts := buildCase(t, "bloom-3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
-	f1 := characterize(t, g1, p, opts)
-	g2, _, _ := buildCase(t, "bloom-3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
-	dopts := opts
-	dopts.Solver = maxflow.Dinic
-	f2 := characterize(t, g2, p, dopts)
-	a, b := f1.Points(), f2.Points()
-	if len(a) != len(b) {
-		t.Fatalf("frontiers differ in size: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].TimeUnits != b[i].TimeUnits {
-			t.Fatalf("point %d: times differ", i)
-		}
-		// Min cuts may tie; energies must agree to high precision anyway
-		// because tied cuts have equal cost.
-		if diff := a[i].EnergyRelaxed - b[i].EnergyRelaxed; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("point %d: relaxed energies differ by %v", i, diff)
-		}
-	}
-}
-
 // TestDeterminism checks characterization is bit-for-bit reproducible.
 func TestDeterminism(t *testing.T) {
 	g1, p, opts := buildCase(t, "gpt3-1.3b", gpu.A40, 4, 6, 4, "1f1b")
@@ -580,5 +561,46 @@ func TestDeterminism(t *testing.T) {
 		if a[i].TimeUnits != b[i].TimeUnits || a[i].Energy != b[i].Energy {
 			t.Fatalf("point %d differs between runs", i)
 		}
+	}
+}
+
+// TestGoldenFrontier pins every point of one characterized frontier bit
+// for bit against testdata/frontier.golden: its time in τ units, the
+// float64 bits of its discrete and relaxed energies, and its per-op
+// durations. Any change to the optimizer or its max-flow solver that is
+// meant to preserve behaviour must leave this file untouched.
+func TestGoldenFrontier(t *testing.T) {
+	g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A40, 4, 6, 4, "1f1b")
+	f := characterize(t, g, p, opts)
+	var b strings.Builder
+	for _, pt := range f.Points() {
+		fmt.Fprintf(&b, "%d %016x %016x", pt.TimeUnits, math.Float64bits(pt.Energy), math.Float64bits(pt.EnergyRelaxed))
+		for _, d := range pt.Durations() {
+			fmt.Fprintf(&b, " %d", d)
+		}
+		b.WriteByte('\n')
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "frontier.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("frontier drifted from golden at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("frontier drifted from golden: %d lines, want %d", len(gl), len(wl))
 	}
 }

@@ -3,6 +3,8 @@
 // to find minimum cuts on the Capacity DAG (paper §4.3, Appendix E.2,
 // Algorithm 3). Capacities are float64 energy values (joules); edges whose
 // computation cannot change speed carry effectively infinite capacity.
+// Edmonds-Karp, the paper's choice, is the package's only solver; a
+// level-graph alternative measured no faster on these graphs.
 package maxflow
 
 import (
@@ -72,9 +74,8 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 		queue = append(queue[:0], int32(s))
 		found := false
 	bfs:
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, id := range g.head[u] {
 				v := g.to[id]
 				if prev[v] == -1 && g.residual(id) > eps {
@@ -114,10 +115,10 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 func (g *Graph) MinCutSide(s int) []bool {
 	side := make([]bool, g.n)
 	side[s] = true
-	queue := []int32{int32(s)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := make([]int32, 1, g.n)
+	queue[0] = int32(s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, id := range g.head[u] {
 			v := g.to[id]
 			if !side[v] && g.residual(id) > eps {
@@ -151,17 +152,11 @@ type CutResult struct {
 
 // MinCutWithBounds computes a minimum s-t cut of a DAG whose edges carry
 // flow lower bounds, following paper Algorithm 3: a super source/sink
-// construction reduces the problem to two plain max-flow runs, after which
-// the residual reachability from s yields the cut. The Max-Flow Min-Cut
-// theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
-// It uses the paper's Edmonds-Karp solver.
+// construction reduces the problem to two Edmonds-Karp max-flow runs,
+// after which the residual reachability from s yields the cut. The
+// Max-Flow Min-Cut theorem holds with non-zero lower bounds (Ford &
+// Fulkerson, ch. 1 §9).
 func MinCutWithBounds(n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
-	return MinCutWithBoundsUsing(EdmondsKarp, n, edges, s, t)
-}
-
-// MinCutWithBoundsUsing is MinCutWithBounds with an explicit max-flow
-// solver.
-func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
 	if s == t {
 		return nil, fmt.Errorf("maxflow: source equals sink (%d)", s)
 	}
@@ -214,7 +209,7 @@ func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) 
 	tsID := gp.AddEdge(t, s, big)
 
 	// Step 2: saturate the super edges; otherwise no feasible flow.
-	got := gp.maxFlow(solver, sp, tp)
+	got := gp.MaxFlow(sp, tp)
 	if got < demand-1e-6*(1+demand) {
 		return nil, fmt.Errorf("%w: satisfied %v of %v", ErrInfeasible, got, demand)
 	}
@@ -236,7 +231,7 @@ func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) 
 		e := id &^ 1
 		gp.cap[e] = gp.flow[e]
 	}
-	gp.maxFlow(solver, s, t)
+	gp.MaxFlow(s, t)
 
 	side := gp.MinCutSide(s)
 	res := &CutResult{SSide: side[:n], Flow: make([]float64, len(edges))}

@@ -256,69 +256,3 @@ func TestBoundedFlowRespectsBounds(t *testing.T) {
 		}
 	}
 }
-
-// TestDinicMatchesEdmondsKarp checks both solvers compute identical max
-// flows on random graphs.
-func TestDinicMatchesEdmondsKarp(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 150; trial++ {
-		n := 4 + rng.Intn(8)
-		type e struct {
-			u, v int
-			c    float64
-		}
-		var es []e
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u != v && rng.Float64() < 0.35 {
-					es = append(es, e{u, v, rng.Float64() * 10})
-				}
-			}
-		}
-		g1, g2 := New(n), New(n)
-		for _, ed := range es {
-			g1.AddEdge(ed.u, ed.v, ed.c)
-			g2.AddEdge(ed.u, ed.v, ed.c)
-		}
-		f1 := g1.MaxFlow(0, n-1)
-		f2 := g2.MaxFlowDinic(0, n-1)
-		if math.Abs(f1-f2) > 1e-6 {
-			t.Fatalf("trial %d: Edmonds-Karp %v != Dinic %v", trial, f1, f2)
-		}
-	}
-}
-
-// TestBoundedCutSolverEquivalence checks both solvers produce equal-value
-// cuts through the lower-bounds reduction.
-func TestBoundedCutSolverEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(4)
-		var edges []BoundedEdge
-		for u := 0; u < n-1; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.55 {
-					lo := 0.0
-					if rng.Float64() < 0.3 {
-						lo = rng.Float64()
-					}
-					edges = append(edges, BoundedEdge{u, v, lo, lo + 3 + rng.Float64()*8})
-				}
-			}
-		}
-		for u := 0; u < n-1; u++ {
-			edges = append(edges, BoundedEdge{u, u + 1, 0, 15})
-		}
-		r1, err1 := MinCutWithBoundsUsing(EdmondsKarp, n, edges, 0, n-1)
-		r2, err2 := MinCutWithBoundsUsing(Dinic, n, edges, 0, n-1)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: feasibility disagreement: %v vs %v", trial, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if math.Abs(r1.Value-r2.Value) > 1e-6 {
-			t.Fatalf("trial %d: cut values differ: %v vs %v", trial, r1.Value, r2.Value)
-		}
-	}
-}

@@ -14,10 +14,7 @@ import (
 // generation (Epoch — bumped on signal re-install and forecast
 // revision), the content hash of the frontier the plan is solved over
 // (re-characterization changes it), and the request parameters. Every
-// field is value-typed, so keys compare and hash as map keys, and the
-// whole key is location-independent: two server replicas that agree on
-// the epoch and hold the same frontier solve the same problem, which
-// is what makes a shared PlanCacheBackend sound.
+// field is value-typed, so keys compare and hash as map keys.
 type PlanKey struct {
 	Epoch     int
 	Table     uint64
@@ -27,69 +24,15 @@ type PlanKey struct {
 	Scale     int
 }
 
-// Canonical renders the key as a stable string — the form a
-// cross-replica backend keys its store by and the input the plan ETag
-// is hashed from. Not used on the replica-local hot path, which keys
-// maps by the struct directly.
+// Canonical renders the key as a stable string — the input the plan
+// ETag is hashed from. Not used on the cache's hot path, which keys
+// its maps by the struct directly.
 func (k PlanKey) Canonical() string {
 	return fmt.Sprintf("e%d.t%016x.i%s.d%s.o%s.s%d",
 		k.Epoch, k.Table,
 		strconv.FormatFloat(k.Target, 'g', -1, 64),
 		strconv.FormatFloat(k.Deadline, 'g', -1, 64),
 		k.Objective, k.Scale)
-}
-
-// PlanCacheBackend stores solved plans by PlanKey. The server's
-// single-flight de-duplication, hit/miss accounting, and size-cap
-// flushing all live in front of the backend, so an implementation is
-// just a concurrency-safe store: Get/Put/Clear/Len. The in-memory
-// backend below is the default; a cross-replica deployment swaps in a
-// shared store via Server.SetPlanCacheBackend (keys serialize via
-// PlanKey.Canonical, values via the grid.Plan JSON encoding). Plans
-// are treated as immutable once Put — backends may return the same
-// pointer to every caller.
-type PlanCacheBackend interface {
-	Get(key PlanKey) (*grid.Plan, bool)
-	Put(key PlanKey, p *grid.Plan)
-	Clear()
-	Len() int
-}
-
-// memoryPlanCache is the default replica-local backend: one map under
-// one mutex.
-type memoryPlanCache struct {
-	mu sync.Mutex
-	m  map[PlanKey]*grid.Plan
-}
-
-// NewMemoryPlanCache returns the default in-memory PlanCacheBackend.
-func NewMemoryPlanCache() PlanCacheBackend {
-	return &memoryPlanCache{m: map[PlanKey]*grid.Plan{}}
-}
-
-func (b *memoryPlanCache) Get(key PlanKey) (*grid.Plan, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p, ok := b.m[key]
-	return p, ok
-}
-
-func (b *memoryPlanCache) Put(key PlanKey, p *grid.Plan) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[key] = p
-}
-
-func (b *memoryPlanCache) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m = map[PlanKey]*grid.Plan{}
-}
-
-func (b *memoryPlanCache) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.m)
 }
 
 // cacheEntry is one in-flight solve. done closes when the plan (or
@@ -101,7 +44,7 @@ type cacheEntry struct {
 	err  error
 }
 
-// maxPlanCacheEntries bounds the backend between epochs: a client
+// maxPlanCacheEntries bounds the plan store between epochs: a client
 // sweeping distinct parameters would otherwise grow it without limit
 // until the next signal or forecast install. At the cap the whole
 // store is flushed (epoch-style) rather than tracking per-entry
@@ -109,18 +52,18 @@ type cacheEntry struct {
 // requests, and a rare flush only costs those one re-solve each.
 const maxPlanCacheEntries = 1024
 
-// planCache memoizes plan solves: a replica-local single-flight layer
-// (the inflight map) in front of a PlanCacheBackend holding completed
-// plans. Entries never expire by time: a key embeds the epoch and
+// planCache memoizes plan solves: a single-flight layer (the inflight
+// map) in front of the plans map holding completed plans, both under
+// mu. Entries never expire by time: a key embeds the epoch and
 // frontier hash, so every input change makes a fresh key, clear()
 // drops the dead generation wholesale, and the size cap flushes
 // parameter sweeps.
 type planCache struct {
 	mu       sync.Mutex
 	inflight map[PlanKey]*cacheEntry
-	backend  PlanCacheBackend
+	plans    map[PlanKey]*grid.Plan
 	// gen counts clear() calls; a flight that started before a clear
-	// must not Put its (now stale-generation) plan into the backend.
+	// must not store its (now stale-generation) plan.
 	gen       int64
 	hits      int64
 	misses    int64
@@ -129,29 +72,20 @@ type planCache struct {
 	obs       *serverObs
 }
 
-// newPlanCache returns an empty cache over the in-memory backend,
-// mirroring its counters into o (nil skips the mirroring — direct
-// unit tests construct bare caches).
+// newPlanCache returns an empty cache, mirroring its counters into o
+// (nil skips the mirroring — direct unit tests construct bare caches).
 func newPlanCache(o *serverObs) *planCache {
 	return &planCache{
 		inflight: map[PlanKey]*cacheEntry{},
-		backend:  NewMemoryPlanCache(),
+		plans:    map[PlanKey]*grid.Plan{},
 		obs:      o,
 	}
 }
 
-// setBackend swaps the storage backend (Server.SetPlanCacheBackend).
-func (c *planCache) setBackend(b PlanCacheBackend) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.backend = b
-	c.syncObsLocked()
-}
-
-// entriesLocked counts resident entries: completed plans in the
-// backend plus in-flight solves. Callers hold c.mu.
+// entriesLocked counts resident entries: completed plans plus
+// in-flight solves. Callers hold c.mu.
 func (c *planCache) entriesLocked() int {
-	return c.backend.Len() + len(c.inflight)
+	return len(c.plans) + len(c.inflight)
 }
 
 // syncObsLocked pushes the counter state into the metric registry.
@@ -191,7 +125,7 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 		sp.End()
 		return e.plan, e.err
 	}
-	if p, ok := c.backend.Get(key); ok {
+	if p, ok := c.plans[key]; ok {
 		c.hits++
 		if c.obs != nil {
 			c.obs.cacheHits.Inc()
@@ -202,12 +136,12 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 		sp.End()
 		return p, nil
 	}
-	if n := c.backend.Len(); n >= maxPlanCacheEntries {
+	if n := len(c.plans); n >= maxPlanCacheEntries {
 		c.evictions += int64(n)
 		if c.obs != nil {
 			c.obs.cacheEvictions.Add(float64(n))
 		}
-		c.backend.Clear()
+		c.plans = map[PlanKey]*grid.Plan{}
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	c.inflight[key] = e
@@ -231,10 +165,10 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 		delete(c.inflight, key)
 	}
 	// A plan solved against inputs that were cleared mid-flight stays
-	// out of the backend: its followers still get it, but the store
-	// only ever holds plans of a live generation.
+	// out of plans: its followers still get it, but the store only
+	// ever holds plans of a live generation.
 	if e.err == nil && gen == c.gen {
-		c.backend.Put(key, e.plan)
+		c.plans[key] = e.plan
 	}
 	c.syncObsLocked()
 	c.mu.Unlock()
@@ -245,7 +179,7 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 // clear drops every entry (the plan inputs changed). The drop counts
 // as eviction: an epoch bump invalidates the whole resident
 // generation. In-flight solves are orphaned — they resolve their
-// followers but never reach the backend.
+// followers but are never stored.
 func (c *planCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,7 +188,7 @@ func (c *planCache) clear() {
 	if c.obs != nil {
 		c.obs.cacheEvictions.Add(float64(dropped))
 	}
-	c.backend.Clear()
+	c.plans = map[PlanKey]*grid.Plan{}
 	c.inflight = map[PlanKey]*cacheEntry{}
 	c.gen++
 	c.syncObsLocked()
@@ -263,8 +197,8 @@ func (c *planCache) clear() {
 // CacheStats reports the plan cache's cumulative counters and current
 // size. Coalesced counts the subset of hits that waited on an
 // in-flight solve; evictions counts entries dropped by epoch
-// invalidation and size-cap flushes; entries counts backend-resident
-// plans plus in-flight solves.
+// invalidation and size-cap flushes; entries counts stored plans plus
+// in-flight solves.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

@@ -169,3 +169,14 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 		t.Fatalf("success was not cached: %d calls", calls)
 	}
 }
+
+// TestPlanKeyCanonicalDistinct pins the ETag input: distinct problems
+// must canonicalize distinctly.
+func TestPlanKeyCanonicalDistinct(t *testing.T) {
+	a := PlanKey{Epoch: 1, Table: 42, Target: 10, Objective: grid.ObjectiveCarbon, Scale: 1}
+	b := a
+	b.Target = 20
+	if a.Canonical() == b.Canonical() {
+		t.Fatalf("distinct keys share canonical form %q", a.Canonical())
+	}
+}

@@ -102,16 +102,6 @@ func New() *Server {
 	return s
 }
 
-// SetPlanCacheBackend swaps the plan cache's storage backend — the
-// seam a multi-replica deployment uses to share solved plans (the
-// cache key embeds the plan epoch and the frontier's content hash, so
-// entries are location-independent). The default is the in-memory
-// backend. Call before serving traffic; the single-flight solve
-// de-duplication always stays replica-local.
-func (s *Server) SetPlanCacheBackend(b PlanCacheBackend) {
-	s.cache.setBackend(b)
-}
-
 // SetClock replaces the server's wall clock — the hook fake-clock
 // tests and compressed-timescale demos drive the controller with. The
 // tracer shares the clock, so spans carry the same timeline as events.
