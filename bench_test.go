@@ -407,47 +407,6 @@ func benchRegionCase(nJobs int) ([]region.Region, []region.Job, region.Options) 
 	return regions, jobs, region.Options{Migration: region.MigrationCost{DowntimeS: 600, EnergyJ: 5e6}}
 }
 
-// BenchmarkRegionPlanWarm measures the MPC tick-to-tick re-plan: the
-// previous solve's placement is fed back through Options.Seeds, so
-// descent starts at (or next to) the optimum instead of from the
-// generic single-region and rate-envelope candidates — the warm path
-// forecast.ReplanRegions takes when a revision leaves the remaining
-// window unchanged.
-func BenchmarkRegionPlanWarm(b *testing.B) {
-	for _, nJobs := range []int{2, 8} {
-		b.Run(fmt.Sprintf("jobs-%d", nJobs), func(b *testing.B) {
-			regions, jobs, opts := benchRegionCase(nJobs)
-			cold, err := region.Optimize(regions, jobs, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seeds := make(map[string][]region.SeedSpan, len(cold.Jobs))
-			for _, jp := range cold.Jobs {
-				spans := make([]region.SeedSpan, 0, len(jp.Assignments))
-				for _, a := range jp.Assignments {
-					name := ""
-					if a.Region >= 0 {
-						name = cold.Regions[a.Region]
-					}
-					spans = append(spans, region.SeedSpan{StartS: a.StartS, EndS: a.EndS, Region: name})
-				}
-				seeds[jp.JobID] = spans
-			}
-			opts.Seeds = seeds
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err := region.Optimize(regions, jobs, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !plan.Feasible {
-					b.Fatal("benchmark plan unexpectedly infeasible")
-				}
-			}
-		})
-	}
-}
-
 // benchServer builds a server with one characterized job and a
 // 288-interval signal installed — the /grid/plan hot path's inputs.
 func benchServer(b *testing.B) (*server.Server, string, float64) {

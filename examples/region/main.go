@@ -1,75 +1,68 @@
 // Region: chase clean power across datacenters.
 //
-// PR 2's temporal planner runs a flexible job in the day's clean hours
-// and idles through the dirty ones — inside a single grid region. But
-// two datacenters whose carbon curves are hours out of phase offer
-// more clean hours than either has alone: with a characterized
-// frontier and deadline slack, the multi-region planner works the west
-// coast's midday solar valley, checkpoints, migrates, and works the
-// east's — paying a fixed pause-cost per move only when the phase
-// offset earns it back.
+// The temporal planner runs a flexible job in the day's clean hours and
+// idles through the dirty ones — inside a single grid region. But two
+// datacenters whose carbon curves are hours out of phase offer more
+// clean hours than either has alone: with a characterized frontier and
+// deadline slack, the multi-region planner works the west coast's
+// midday solar valley, checkpoints, migrates, and works the east's —
+// paying a fixed pause-cost per move only when the phase offset earns
+// it back. The program prints the planner's hour-by-hour placement and
+// compares it with pinning the job to its best single region (fixed
+// placement) and with choosing one region without ever migrating.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"perseus/internal/experiments"
 	"perseus/internal/gpu"
+	"perseus/internal/grid"
 	"perseus/internal/region"
 )
 
 func main() {
-	sys, err := experiments.BuildSystem(experiments.WorkloadConfig{
-		Display: "gpt3-1.3b", Model: "gpt3-1.3b", Stages: 2,
-		MicrobatchSize: 4, Microbatches: 8,
-	}, gpu.A100PCIe, experiments.Quick)
+	cfg := experiments.WorkloadConfig{
+		Display: "GPT-3 1.3B", Model: "gpt3-1.3b", Stages: 4,
+		MicrobatchSize: 4, Microbatches: 16,
+	}
+	g := gpu.A100PCIe
+	fmt.Printf("characterizing %s on %s...\n", cfg.Display, g.Name)
+	sys, err := experiments.BuildSystem(cfg, g, experiments.Quick)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lt := sys.Frontier.Table()
-	regions := region.PhaseShiftedPair(8)
 
 	// Finish 60% of one region's daily T* capacity by midnight; a
-	// migration costs a 10-minute checkpoint transfer.
-	target := 0.6 * 86400 / lt.TStar()
-	jobs := []region.Job{{ID: "train", Table: lt, Target: target}}
-	opts := region.Options{Migration: region.MigrationCost{DowntimeS: 600, EnergyJ: 1e6}}
+	// migration costs a 10-minute checkpoint transfer plus its energy.
+	const util = 0.6
+	regions := region.PhaseShiftedPair(8)
+	mig := region.MigrationCost{DowntimeS: 600, EnergyJ: 1e6}
+	target := util * 86400 / lt.TStar()
+	fmt.Printf("regions: %s and %s (solar valleys 12 h out of phase); target %.0f iterations (%.0f%% of one region's T* capacity)\n",
+		regions[0].Name, regions[1].Name, target, 100*util)
+	fmt.Printf("migration cost: %.0f s downtime + %.2f kWh transfer energy\n\n",
+		mig.DowntimeS, mig.EnergyJ/grid.JoulesPerKWh)
 
-	plan, err := region.Optimize(regions, jobs, opts)
+	strategies, err := experiments.RegionComparison(lt, regions, target, 0, mig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	noMig, err := region.NoMigration(regions, jobs, opts)
+	plan, err := region.Optimize(regions, []region.Job{
+		{ID: "train", Table: lt, Target: target},
+	}, region.Options{Migration: mig})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bestFixed, err := region.BestFixed(regions, jobs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	jp := plan.Jobs[0]
-	fmt.Printf("target: %.0f iterations by hour 24 across %v\n\n", target, plan.Regions)
-	fmt.Println("hour  placement")
-	for _, a := range jp.Assignments {
-		place := "paused"
-		if a.Region >= 0 {
-			place = plan.Regions[a.Region]
+	for _, t := range []*experiments.Table{
+		experiments.RegionPlanTable(regions, plan, 0),
+		experiments.RegionComparisonTable(strategies),
+	} {
+		if err := t.Render(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
-		if a.Migrate {
-			place += "  <- migrate (checkpoint transfer)"
-		}
-		fmt.Printf("%4.0f  %s\n", a.StartS/3600, place)
 	}
-	fmt.Printf("\n%-28s %10s %12s\n", "strategy", "carbon(kg)", "vs planner")
-	for _, row := range []struct {
-		name string
-		p    *region.Plan
-	}{{"best fixed placement", bestFixed}, {"no-migration", noMig}, {"region planner", plan}} {
-		fmt.Printf("%-28s %10.3f %+11.1f%%\n", row.name, row.p.CarbonG/1e3,
-			100*(row.p.CarbonG-plan.CarbonG)/plan.CarbonG)
-	}
-	fmt.Printf("\nplanner migrated %d time(s), paying %.0f s downtime and %.0f g CO2 in transfer energy\n",
-		jp.Migrations, jp.MigrationDowntimeS, jp.MigrationCarbonG)
 }

@@ -94,11 +94,6 @@ type RegionOutcome struct {
 	Plans    int                `json:"plans"`
 	Jobs     []RegionJobOutcome `json:"jobs"`
 
-	// WarmStarts counts re-plans whose forecasts were unchanged across
-	// the remaining window in every region, letting descent seed from
-	// the previous tick's placement instead of starting from scratch.
-	WarmStarts int `json:"warm_starts,omitempty"`
-
 	plan.Account
 	plan.Predicted
 
@@ -211,9 +206,6 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 	}
 	out := &RegionOutcome{Strategy: regs[0].Provider.Name() + "/" + mode}
 
-	var prevPlan *region.Plan    // previous tick's joint plan (for warm-start seeds)
-	var prevD float64            // decision time it was planned at
-	var prevViews []*grid.Signal // per-region q-views it was planned on (absolute time)
 	for di, d := range decisions {
 		end := deadline
 		if di+1 < len(decisions) {
@@ -224,8 +216,6 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		// and the remaining planning problem for every unfinished job.
 		fregions := make([]region.Region, len(regs))
 		fsignals := make([]*grid.Signal, len(regs)) // point forecasts, absolute time
-		views := make([]*grid.Signal, len(regs))    // q-views, absolute time
-		warm := prevPlan != nil
 		for i := range regs {
 			fc, err := regs[i].Provider.At(d)
 			if err != nil {
@@ -239,11 +229,9 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 					regs[i].Region.Name, fc.Signal.Horizon(), deadline)
 			}
 			fsignals[i] = fc.Signal
-			views[i] = fc.At(q)
-			warm = warm && SignalEqualWithin(prevViews[i], views[i], d, deadline)
 			fregions[i] = region.Region{
 				Name: regs[i].Region.Name, GPUs: regs[i].Region.GPUs,
-				CapW: regs[i].Region.CapW, Signal: Window(views[i], d, deadline),
+				CapW: regs[i].Region.CapW, Signal: Window(fc.At(q), d, deadline),
 			}
 		}
 		var rjobs []region.Job
@@ -267,19 +255,11 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		// cost (see RegionOptions.HysteresisMargin), while execution
 		// below always charges the real one.
 		ropts := region.Options{Objective: opts.Objective, Migration: opts.planMigration(d)}
-		if warm {
-			// Warm start: no forecast moved inside the remaining window,
-			// so the previous tick's placement is a near-optimal seed —
-			// descent starts there and accepts only strict improvements.
-			ropts.Seeds = seedsFromPlan(prevPlan, prevD, d, rjobs)
-			out.WarmStarts++
-		}
 		plan, err := region.Optimize(fregions, rjobs, ropts)
 		if err != nil {
 			return nil, err
 		}
 		out.Plans++
-		prevPlan, prevD, prevViews = plan, d, views
 
 		span := end - d
 		for pi, jp := range plan.Jobs {
@@ -395,45 +375,6 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		out.Jobs = append(out.Jobs, st.out)
 	}
 	return out, nil
-}
-
-// seedsFromPlan converts the previous tick's joint plan (planned at
-// prevD) into warm-start seed spans for the jobs still live at the new
-// decision time d: each assignment's span shifted into the new plan's
-// relative time, with the already-executed part clipped away. Spans
-// are time-based because the common cell grid shifts between ticks.
-func seedsFromPlan(prev *region.Plan, prevD, d float64, rjobs []region.Job) map[string][]region.SeedSpan {
-	live := make(map[string]bool, len(rjobs))
-	for i := range rjobs {
-		live[rjobs[i].ID] = true
-	}
-	seeds := make(map[string][]region.SeedSpan, len(rjobs))
-	shift := prevD - d // previous-plan-relative -> new-plan-relative
-	for i := range prev.Jobs {
-		jp := &prev.Jobs[i]
-		if !live[jp.JobID] {
-			continue
-		}
-		var spans []region.SeedSpan
-		for _, a := range jp.Assignments {
-			start, end := a.StartS+shift, a.EndS+shift
-			if end <= 1e-9 {
-				continue // fully executed before the new decision time
-			}
-			if start < 0 {
-				start = 0
-			}
-			name := ""
-			if a.Region >= 0 {
-				name = prev.Regions[a.Region]
-			}
-			spans = append(spans, region.SeedSpan{StartS: start, EndS: end, Region: name})
-		}
-		if len(spans) > 0 {
-			seeds[jp.JobID] = spans
-		}
-	}
-	return seeds
 }
 
 // clipPaused drops the slice time scheduled before `until` (slices run

@@ -2,16 +2,18 @@ package region
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
 // TestOptimizeDeterministicAcrossWorkers pins the planner's core
 // parallelism contract: fanning candidate evaluations across a worker
-// pool must be bit-identical to sequential evaluation — same objective
-// totals, same placements, same migration bookkeeping — for any pool
-// size. The reduction happens in a fixed candidate order regardless of
-// completion order, so this holds exactly, not within a tolerance.
-// Run under -race this also exercises the pool for data races.
+// pool (one worker per GOMAXPROCS) must be bit-identical to sequential
+// evaluation — same objective totals, same placements, same migration
+// bookkeeping — for any pool size. The reduction happens in a fixed
+// candidate order regardless of completion order, so this holds
+// exactly, not within a tolerance. Run under -race this also exercises
+// the pool for data races.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	regions := PhaseShiftedPair(16)
 	ltA := convexTable(0.01, 80, 110, 3000, 120)
@@ -20,18 +22,17 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		{ID: "a", Table: ltA, GPUs: 8, Target: math.Floor(0.5 * 86400 / ltA.TStar())},
 		{ID: "b", Table: ltB, GPUs: 8, Target: math.Floor(0.4 * 86400 / ltB.TStar())},
 	}
-	base := Options{Migration: MigrationCost{DowntimeS: 600, EnergyJ: 5e6}}
+	opts := Options{Migration: MigrationCost{DowntimeS: 600, EnergyJ: 5e6}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	opts := base
-	opts.Workers = 1
+	runtime.GOMAXPROCS(1)
 	seq, err := Optimize(regions, jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{0, 2, 7} {
-		opts := base
-		opts.Workers = workers
+	for _, workers := range []int{2, 7} {
+		runtime.GOMAXPROCS(workers)
 		par, err := Optimize(regions, jobs, opts)
 		if err != nil {
 			t.Fatal(err)

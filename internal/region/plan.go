@@ -16,45 +16,12 @@ type Options struct {
 	// Migration is the fixed pause-cost of moving a job between
 	// regions; the zero value makes moves free.
 	Migration MigrationCost
-
-	// Workers bounds the planner's evaluation parallelism: independent
-	// candidate placements are solved across a worker pool and reduced
-	// in a fixed deterministic order, so the plan is identical for any
-	// value. 0 means runtime.GOMAXPROCS(0); 1 forces sequential
-	// evaluation (determinism_test.go pins the equality).
-	Workers int
-
-	// Seeds optionally warm-starts each job's descent from a prior
-	// placement, keyed by job ID. A seed is one extra starting
-	// candidate beside the usual single-region and rate-envelope
-	// starts, and descent accepts it only on strict improvement — so a
-	// stale or infeasible seed changes nothing, while a near-optimal
-	// one (the previous MPC tick's plan) lets descent converge in a
-	// move or two.
-	Seeds map[string][]SeedSpan
 }
 
 // gaussSeidelRounds is the number of improvement rounds after the first
 // sequential pass: each round re-plans every job against the others'
 // committed placements.
 const gaussSeidelRounds = 2
-
-// SeedSpan pins one stretch of a warm-start seed placement: run in
-// Region over [StartS, EndS) seconds ("" or an unknown name pauses).
-// Spans are expressed in time rather than cell indices because the
-// common cell grid generally shifts between MPC ticks.
-type SeedSpan struct {
-	StartS float64 `json:"start_s"`
-	EndS   float64 `json:"end_s"`
-	Region string  `json:"region"`
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return DefaultWorkers()
-	}
-	return o.Workers
-}
 
 // Assignment is one cell of a job's placement sequence.
 type Assignment struct {
@@ -253,26 +220,24 @@ func (u *usage) apply(j *Job, ev *eval, sign int) {
 }
 
 // planner bundles the planning context: the immutable instance
-// (regions, cells, options, precomputed rates) plus the mutable solve
-// state — committed usage, per-worker evaluation scratch, and the
-// per-job candidate memo. Tests build bare planners with just the
-// first five fields; every method tolerates the zero values of the
-// rest (nil rates fall back to Region.rates, zero workers run inline).
+// (regions, cells, options, precomputed rates, worker count) plus the
+// mutable solve state — committed usage, one evaluation scratch per
+// worker, and the descent's candidate buffers. newPlanner and fork are
+// the only constructors.
 type planner struct {
 	regions []Region
 	cells   []Cell
 	horizon float64
 	opts    Options
+	rates   [][]cellRates
+	workers int
 	usage   *usage
 
-	workers int
-	rates   [][]cellRates // nil on bare test planners
 	scratch []evalScratch // one per worker
-	memo    jobMemo
-	cands   []int32 // current batch, entry indices in generation order
-	pending []int32 // entries awaiting evaluation this batch
-	curPl   []int   // descent incumbent placement
-	tmpPl   []int   // candidate construction buffer
+	batch   []int         // descent candidates, len(cells) cells each
+	outs    []outcome     // the batch's light outcomes, in batch order
+	errs    []error       // and their evaluation errors
+	curPl   []int         // descent incumbent placement
 }
 
 // newPlanner validates the instance and builds a ready planner:
@@ -312,7 +277,7 @@ func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 		cells:   cells,
 		horizon: horizon,
 		opts:    opts,
-		workers: opts.workers(),
+		workers: DefaultWorkers(),
 		rates:   rateTable(regions, cells),
 	}
 	p.scratch = make([]evalScratch, p.workers)
@@ -321,7 +286,7 @@ func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 
 // fork clones the planner's immutable context for an independent solve
 // (BestFixed runs one per region concurrently): shared regions, cells,
-// and rates; private usage, scratch, and memo. Forks run their inner
+// and rates; private usage and scratch. Forks run their inner
 // evaluations sequentially — the fan-out is across forks.
 func (p *planner) fork() *planner {
 	return &planner{
@@ -348,12 +313,7 @@ func (p *planner) allowed(j *Job, r, k int) bool {
 // region's effective cap minus the power other jobs' plans already
 // draw there (0 = uncapped).
 func (p *planner) capOverride(r, k int) float64 {
-	var capW float64
-	if p.rates != nil {
-		capW = p.rates[r][k].capW
-	} else {
-		_, _, capW = p.regions[r].rates(p.cells[k])
-	}
+	capW := p.rates[r][k].capW
 	if capW <= 0 {
 		return 0
 	}
@@ -364,15 +324,10 @@ func (p *planner) capOverride(r, k int) float64 {
 	return rem
 }
 
-// cellRate reads region r's (carbon, price) over cell k, through the
-// precomputed table when present.
+// cellRate reads region r's (carbon, price) over cell k.
 func (p *planner) cellRate(r, k int) (carbon, price float64) {
-	if p.rates != nil {
-		rc := p.rates[r][k]
-		return rc.carbon, rc.price
-	}
-	carbon, price, _ = p.regions[r].rates(p.cells[k])
-	return carbon, price
+	rc := p.rates[r][k]
+	return rc.carbon, rc.price
 }
 
 // origin resolves the job's Origin region name to an index (Paused
@@ -399,35 +354,14 @@ func (p *planner) gridOptions(j *Job) grid.Options {
 	}
 }
 
-// evaluate compiles a placement into a composite signal and solves the
-// inner temporal subproblem exactly with grid.Optimize. The
-// allocate-everything path, kept for bare test planners; hot paths use
-// evaluateFull/evaluateLight below.
-func (p *planner) evaluate(j *Job, placement []int) (*eval, error) {
-	sig, mig, cellOf := compile(p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride)
-	plan, err := grid.Optimize(j.Table, sig, p.gridOptions(j))
-	if err != nil {
-		return nil, err
-	}
-	ev := &eval{
-		placement: placement,
-		plan:      plan,
-		mig:       mig,
-		cellOf:    cellOf,
-		coverage:  plan.Iterations,
-		feasible:  plan.Feasible,
-		cost:      objectiveTotal(plan) + mig.objective(plan.Objective),
-	}
-	return ev, nil
-}
-
-// evaluateFull evaluates a placement and materializes the full eval —
+// evaluateFull compiles a placement into a composite signal, solves the
+// inner temporal subproblem exactly, and materializes the full eval —
 // temporal plan and cell map included — for commit paths (usage
 // accounting, assembly). Compile runs in the scratch's buffers; the
 // returned eval retains only fresh state (the plan and a copied cell
 // map), never the scratch.
 func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, error) {
-	sig, mig, cellOf := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
+	sig, mig, cellOf := compile(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
 	plan, err := s.solver.Optimize(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return nil, err
@@ -449,7 +383,7 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 // evaluations of the same placement always agree; descent compares
 // candidates light and re-solves only committed winners full.
 func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcome, error) {
-	sig, mig, _ := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
+	sig, mig, _ := compile(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
 	ev, err := s.solver.Evaluate(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return outcome{}, err
@@ -461,39 +395,25 @@ func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcom
 	}, nil
 }
 
-// beginBatch starts collecting one batch of candidate placements.
-func (p *planner) beginBatch() { p.cands = p.cands[:0] }
-
-// addCand records a candidate in generation order, interning it in the
-// job memo (duplicates and already-solved placements share entries).
-func (p *planner) addCand(pl []int) { p.cands = append(p.cands, p.memo.intern(pl)) }
-
-// runBatch solves every not-yet-solved candidate in the current batch,
-// fanned across the worker pool. Each pending entry is written by
-// exactly one worker and the memo's headers are untouched while
-// workers run, so the pass is race-free; results are then read back
-// sequentially in generation order, which keeps the reduction — and
-// therefore the whole planner — bit-identical for any worker count.
-func (p *planner) runBatch(j *Job) error {
-	p.pending = p.pending[:0]
-	for _, e := range p.cands {
-		ent := &p.memo.entries[e]
-		if !ent.solved {
-			ent.solved = true // batches can repeat an entry; queue it once
-			p.pending = append(p.pending, e)
-		}
-	}
-	parallelFor(p.workers, len(p.pending), func(w, i int) {
-		e := p.pending[i]
-		ent := &p.memo.entries[e]
-		ent.out, ent.err = p.evaluateLight(&p.scratch[w], j, p.memo.placement(e))
+// runBatch evaluates every candidate in p.batch light, fanned across
+// the worker pool. Each outcome slot is written by exactly one worker
+// and read back only after the pool joins, in batch order, so the
+// reduction — and therefore the whole planner — is bit-identical for
+// any worker count.
+func (p *planner) runBatch(j *Job) ([]outcome, error) {
+	K := len(p.cells)
+	n := len(p.batch) / K
+	p.outs = append(p.outs[:0], make([]outcome, n)...)
+	p.errs = append(p.errs[:0], make([]error, n)...)
+	parallelFor(p.workers, n, func(w, c int) {
+		p.outs[c], p.errs[c] = p.evaluateLight(&p.scratch[w], j, p.batch[c*K:(c+1)*K])
 	})
-	for _, e := range p.pending {
-		if err := p.memo.entries[e].err; err != nil {
-			return err
+	for _, err := range p.errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return p.outs, nil
 }
 
 // regionIndex resolves a region name to its index, -1 when unknown.
@@ -504,41 +424,6 @@ func (p *planner) regionIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// seedPlacement converts the job's warm-start seed spans to a
-// placement on the current cell grid: each cell takes the region of
-// the span covering its midpoint, clamped to Paused past the deadline,
-// where the region is unknown, or where capacity is already committed.
-// Returns nil when the job has no seed or the seed places nothing.
-func (p *planner) seedPlacement(j *Job, kEnd int) []int {
-	spans := p.opts.Seeds[j.ID]
-	if len(spans) == 0 {
-		return nil
-	}
-	pl := make([]int, len(p.cells))
-	any := false
-	for k, c := range p.cells {
-		pl[k] = Paused
-		if k >= kEnd {
-			continue
-		}
-		mid := (c.StartS + c.EndS) / 2
-		for _, sp := range spans {
-			if mid < sp.StartS || mid >= sp.EndS {
-				continue
-			}
-			if r := p.regionIndex(sp.Region); r >= 0 && p.allowed(j, r, k) {
-				pl[k] = r
-				any = true
-			}
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	return pl
 }
 
 // kEnd returns the first cell index at or beyond the job's deadline;
@@ -602,38 +487,39 @@ func (p *planner) starts(j *Job) [][]int {
 
 // planJob finds one job's placement by steepest descent over
 // contiguous segment moves, starting from the best candidate start:
-// every move re-assigns one cell range [i, j] to one region (or to
+// every move re-assigns one cell range [i, k] to one region (or to
 // Paused) and is evaluated exactly via the inner temporal planner, so
 // the descent only accepts moves whose full spatio-temporal cost —
 // migration pause-costs included — strictly improves.
 //
-// Mechanically each descent sweep is batched: candidates are generated
-// in canonical (i, k, t) order, deduplicated through the job memo,
-// evaluated light across the worker pool, and reduced sequentially in
-// generation order with the same strict comparisons the sequential
-// planner makes — so the chosen move, and hence the whole descent, is
-// bit-identical for any Options.Workers.
+// Each sweep lists its candidates in (i, k, t) order, evaluates them
+// light across the worker pool, and reduces them sequentially in that
+// order with strict comparisons, so the chosen move — and hence the
+// whole descent — is bit-identical for any worker count. A placement
+// is listed once, at the first (i, k, t) that builds it: t differs from
+// the incumbent at k, and i is 0 or t differs at i-1. While the
+// incumbent is feasible, a range covering every cell the last accepted
+// move changed is not listed either: it rebuilds a candidate of the
+// previous sweep, which lost to the incumbent, and with a feasible
+// incumbent losing is transitive under betterOutcome's tolerance (with
+// an infeasible one, coverage ties are not).
 func (p *planner) planJob(j *Job) (*eval, error) {
-	p.memo.reset()
 	kEnd := p.kEnd(j)
+	K := len(p.cells)
 
-	p.beginBatch()
-	starts := p.starts(j)
-	if seed := p.seedPlacement(j, kEnd); seed != nil {
-		starts = append(starts, seed)
+	p.batch = p.batch[:0]
+	for _, pl := range p.starts(j) {
+		p.batch = append(p.batch, pl...)
 	}
-	for _, pl := range starts {
-		p.addCand(pl)
-	}
-	if err := p.runBatch(j); err != nil {
+	outs, err := p.runBatch(j)
+	if err != nil {
 		return nil, err
 	}
 	var cur outcome
-	haveCur := false
-	for _, e := range p.cands {
-		if out := p.memo.entries[e].out; betterOutcome(out, cur, haveCur) {
-			cur, haveCur = out, true
-			p.curPl = append(p.curPl[:0], p.memo.placement(e)...)
+	for c, out := range outs {
+		if betterOutcome(out, cur, c > 0) {
+			cur = out
+			p.curPl = append(p.curPl[:0], p.batch[c*K:(c+1)*K]...)
 		}
 	}
 
@@ -641,49 +527,62 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 	// pathological slow convergence; observed descents take well under
 	// a tenth of it.
 	const maxMoves = 64
+	lastI, lastK := -1, -1 // cells the last accepted move changed; none yet
 	for move := 0; move < maxMoves; move++ {
-		p.beginBatch()
+		p.batch = p.batch[:0]
 		for i := 0; i < kEnd; i++ {
 			for k := i; k < kEnd; k++ {
+				if cur.feasible && i <= lastI && k >= lastK {
+					continue
+				}
 				for t := Paused; t < len(p.regions); t++ {
-					ok, changed := true, false
+					if p.curPl[k] == t || (i > 0 && p.curPl[i-1] == t) {
+						continue
+					}
+					ok := true
 					for c := i; c <= k; c++ {
 						if t >= 0 && !p.allowed(j, t, c) {
 							ok = false
 							break
 						}
-						if p.curPl[c] != t {
-							changed = true
-						}
 					}
-					if !ok || !changed {
+					if !ok {
 						continue
 					}
-					cand := append(p.tmpPl[:0], p.curPl...)
-					for c := i; c <= k; c++ {
-						cand[c] = t
+					off := len(p.batch)
+					p.batch = append(p.batch, p.curPl...)
+					for c := off + i; c <= off+k; c++ {
+						p.batch[c] = t
 					}
-					p.tmpPl = cand
-					p.addCand(cand)
 				}
 			}
 		}
-		if err := p.runBatch(j); err != nil {
+		outs, err := p.runBatch(j)
+		if err != nil {
 			return nil, err
 		}
-		bestE := int32(-1)
-		var best outcome
-		for _, e := range p.cands {
-			out := p.memo.entries[e].out
-			if betterOutcome(out, cur, true) && betterOutcome(out, best, bestE >= 0) {
-				best, bestE = out, e
+		best := -1
+		var bestOut outcome
+		for c, out := range outs {
+			if betterOutcome(out, cur, true) && betterOutcome(out, bestOut, best >= 0) {
+				best, bestOut = c, out
 			}
 		}
-		if bestE < 0 {
+		if best < 0 {
 			break
 		}
-		cur = best
-		p.curPl = append(p.curPl[:0], p.memo.placement(bestE)...)
+		next := p.batch[best*K : (best+1)*K]
+		lastI = -1
+		for c := range next {
+			if next[c] != p.curPl[c] {
+				if lastI < 0 {
+					lastI = c
+				}
+				lastK = c
+			}
+		}
+		copy(p.curPl, next)
+		cur = bestOut
 	}
 	// Materialize the winner once, full: the descent itself never
 	// builds a temporal plan.
@@ -701,14 +600,14 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 // usage of earlier jobs, then refined with gaussSeidelRounds Gauss-Seidel
 // rounds (each job re-planned against all others). Per job the search
 // is steepest descent over contiguous segment moves from the best of
-// the single-region and rate-envelope starts (plus any warm-start
-// seed); every candidate is evaluated exactly by the inner temporal
-// solver on the placement's composite signal, so temporal shifting,
-// pausing, and migration trade off in one objective. Candidate
-// evaluations fan out across an Options.Workers pool with a
-// deterministic sequential reduction, so the plan is identical for any
-// worker count. brute_test.go cross-checks the result against
-// exhaustive placement enumeration on small instances.
+// the single-region and rate-envelope starts; every candidate is
+// evaluated exactly by the inner temporal solver on the placement's
+// composite signal, so temporal shifting, pausing, and migration trade
+// off in one objective. Candidate evaluations fan out across one
+// worker per GOMAXPROCS with a deterministic sequential reduction, so
+// the plan is identical for any worker count. brute_test.go
+// cross-checks the result against exhaustive placement enumeration on
+// small instances.
 func Optimize(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	return plan(regions, jobs, opts, nil, true)
 }

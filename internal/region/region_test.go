@@ -144,8 +144,12 @@ func TestCompileCompositeSignal(t *testing.T) {
 	// Split the single 1800 s cell into three for placement control.
 	cells = []Cell{{0, 600}, {600, 1200}, {1200, 1800}}
 
+	rates := rateTable(regions, cells)
+	capW := func(r, k int) float64 { return rates[r][k].capW }
+	var cs compileScratch
+
 	mig := MigrationCost{DowntimeS: 100, EnergyJ: 3.6e6} // 1 kWh
-	sig, sum, cellOf := compile(regions, cells, []int{0, Paused, 1}, Paused, mig, nil)
+	sig, sum, cellOf := compile(&cs, cells, rates, []int{0, Paused, 1}, Paused, mig, capW)
 	if err := sig.Validate(); err != nil {
 		t.Fatalf("composite invalid: %v", err)
 	}
@@ -178,7 +182,7 @@ func TestCompileCompositeSignal(t *testing.T) {
 	}
 
 	// Downtime longer than the arrival cell spills into the next.
-	sig, _, _ = compile(regions, cells, []int{0, 1, 1}, Paused, MigrationCost{DowntimeS: 700}, nil)
+	sig, _, _ = compile(&cs, cells, rates, []int{0, 1, 1}, Paused, MigrationCost{DowntimeS: 700}, capW)
 	if err := sig.Validate(); err != nil {
 		t.Fatalf("spill composite invalid: %v", err)
 	}

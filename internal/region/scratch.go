@@ -9,8 +9,8 @@ import (
 	"perseus/internal/grid"
 )
 
-// DefaultWorkers returns the planner's default evaluation parallelism:
-// one worker per available CPU (Options.Workers = 0 resolves to this).
+// DefaultWorkers returns the planner's evaluation parallelism: one
+// worker per GOMAXPROCS.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // parallelFor runs fn(worker, index) for every index in [0, n) across
@@ -78,79 +78,4 @@ func betterOutcome(a, b outcome, bOK bool) bool {
 		return a.coverage > b.coverage
 	}
 	return a.cost < b.cost-1e-9*(1+math.Abs(b.cost))
-}
-
-// jobMemo memoizes light evaluations by placement for one job's
-// descent. Usage is fixed while a job is being planned, so an outcome
-// is a pure function of the placement — a repeated candidate (steepest
-// descent re-proposes most of the previous sweep's moves) is never
-// re-solved. Keys are FNV-1a hashes verified against the stored
-// placement, so a hash collision degrades to a duplicate solve, never
-// a wrong result.
-type jobMemo struct {
-	keys    map[uint64]int32
-	entries []memoEntry
-	arena   []int // interned placements, back to back
-}
-
-type memoEntry struct {
-	off, n int32 // placement = arena[off : off+n]
-	out    outcome
-	err    error
-	solved bool
-}
-
-func (m *jobMemo) reset() {
-	if m.keys == nil {
-		m.keys = make(map[uint64]int32)
-	} else {
-		clear(m.keys)
-	}
-	m.entries = m.entries[:0]
-	m.arena = m.arena[:0]
-}
-
-// placement returns entry e's interned placement (arena-backed: valid
-// until the next intern).
-func (m *jobMemo) placement(e int32) []int {
-	ent := &m.entries[e]
-	return m.arena[ent.off : ent.off+ent.n]
-}
-
-func hashPlacement(pl []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, r := range pl {
-		h ^= uint64(uint32(r + 1))
-		h *= 1099511628211
-	}
-	return h
-}
-
-func equalPlacement(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// intern returns the entry index for the placement, copying it into
-// the arena and adding an unsolved entry on first sight.
-func (m *jobMemo) intern(pl []int) int32 {
-	h := hashPlacement(pl)
-	if e, ok := m.keys[h]; ok && equalPlacement(m.placement(e), pl) {
-		return e
-	}
-	off := int32(len(m.arena))
-	m.arena = append(m.arena, pl...)
-	e := int32(len(m.entries))
-	m.entries = append(m.entries, memoEntry{off: off, n: int32(len(pl))})
-	if _, taken := m.keys[h]; !taken {
-		m.keys[h] = e
-	}
-	return e
 }

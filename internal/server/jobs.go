@@ -154,6 +154,9 @@ func (s *Server) removeJob(ctx context.Context, id string) error {
 	gs := s.st.gridState()
 	j.mu.Lock()
 	j.accrueLocked(gs) // settle the final span before the job disappears
+	// A characterization still in flight must not re-create the series
+	// dropped below, nor rejoin the fleet, when it finishes.
+	j.removed = true
 	if j.pending != nil {
 		j.pending.Stop()
 		j.pending = nil
@@ -436,6 +439,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		now := s.st.now()
 		j.mu.Lock()
 		j.front, j.charErr = front, err
+		removed := j.removed
 		if front != nil {
 			j.table = front.Table()
 			j.tableHash = hashTable(j.table)
@@ -443,7 +447,9 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 			// emissions accounting starts here. Render the per-job
 			// ledger series once, so every later settle is alloc-free.
 			j.accSince, j.accAt = now, now
-			j.series = s.obs.jobSeries(j.id)
+			if !removed {
+				j.series = s.obs.jobSeries(j.id)
+			}
 		}
 		j.characterizing = false
 		j.bumpLocked()
@@ -461,7 +467,9 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		close(done)
 		// The fleet gained a characterized member: under a cap, power
 		// must be re-divided.
-		s.recomputeFleet(ctx)
+		if !removed {
+			s.recomputeFleet(ctx)
+		}
 	}()
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/gpu"
 	"perseus/internal/obs"
 )
 
@@ -322,6 +323,51 @@ func TestLedgerDriftSLOBreach(t *testing.T) {
 	if !sawBreach {
 		t.Fatal("no slo.breach event for carbon-drift-ratio")
 	}
+}
+
+// TestRemoveDuringCharacterizationLeavesNoSeries removes a job while
+// its characterization is still running: when the characterization
+// finishes afterwards, it must not re-create the removed job's per-job
+// series (nor rejoin it to the fleet).
+func TestRemoveDuringCharacterizationLeavesNoSeries(t *testing.T) {
+	srv, _ := ledgerTestServer(t)
+	req := JobRequest{Schedule: "1f1b", Stages: 4, Microbatches: 8, GPU: "A100-PCIe", Unit: 2e-3}
+	g, err := gpu.ByName(req.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := buildUpload(t, g, req.Stages, 4)
+	for attempt := 0; attempt < 5; attempt++ {
+		id, err := srv.Register(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.UploadProfile(id, up); err != nil {
+			t.Fatal(err)
+		}
+		j, _ := srv.st.job(id)
+		j.mu.Lock()
+		done := j.done
+		j.mu.Unlock()
+		if err := srv.RemoveJob(id); err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Lock()
+		raced := j.front == nil && j.charErr == nil // still characterizing after the remove
+		j.mu.Unlock()
+		<-done
+		var b strings.Builder
+		if err := srv.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), `job="`+id+`"`) {
+			t.Fatalf("removed %s has per-job series again after its characterization finished", id)
+		}
+		if raced {
+			return
+		}
+	}
+	t.Fatal("characterization always finished before the remove; the race was never exercised")
 }
 
 func TestRemoveJobDropsSeriesAndLedger(t *testing.T) {

@@ -127,6 +127,7 @@ type job struct {
 	series *jobLedgerSeries
 
 	mu             sync.Mutex
+	removed        bool // set by removeJob; a finishing characterization then leaves no trace
 	characterizing bool
 	charErr        error
 	front          *frontier.Frontier

@@ -1,27 +1,39 @@
 #!/usr/bin/env bash
 # Runs the planning-stack benchmark suite and writes a JSON trajectory
-# record (BENCH_PR7.json by default). Each PR that touches the planning
-# or serving hot paths appends a new BENCH_PR<N>.json so regressions
-# show up as a diff, not an anecdote; scripts/bench_compare.sh diffs
-# two records.
+# record to the given path. Each change that touches the planning or
+# serving hot paths adds a new BENCH_PR<N>.json so regressions show up
+# as a diff, not an anecdote; scripts/bench_compare.sh diffs two
+# records. The record names the code measured (git describe, "-dirty"
+# when the tree has uncommitted edits), the CPU model, GOMAXPROCS and
+# the -count each benchmark ran with.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR7.json}"
-pattern='^(BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkLedgerSettle)$'
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 output.json" >&2
+  exit 2
+fi
+out="$1"
+count=1
+procs="${GOMAXPROCS:-$(nproc)}"
+cpu=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+pattern='^(BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkLedgerSettle)$'
 
-raw=$(go test -run '^$' -bench "$pattern" -benchmem .)
+raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" .)
 echo "$raw" >&2
 
 {
   printf '{\n'
   printf '  "date": "%s",\n' "$(date -u +%Y-%m-%d)"
-  printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+  printf '  "commit": "%s",\n' "$(git describe --always --dirty 2>/dev/null || echo unknown)"
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
+  printf '  "cpu": "%s",\n' "${cpu:-unknown}"
+  printf '  "gomaxprocs": %s,\n' "$procs"
+  printf '  "count": %s,\n' "$count"
   printf '  "benchmarks": [\n'
-  echo "$raw" | awk -v procs="${GOMAXPROCS:-$(nproc)}" '
+  echo "$raw" | awk -v procs="$procs" '
     /^Benchmark/ && /ns\/op/ {
       name = $1
       # Strip the -GOMAXPROCS suffix (absent when it is 1) without
