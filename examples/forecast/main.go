@@ -2,76 +2,79 @@
 //
 // The grid example plans with perfect foresight of the day's carbon
 // curve. Real operators only see forecasts that revise hourly. This
-// walkthrough replays the same diurnal day through a seeded
-// noisy-revision forecast stream three ways — commit to the first
-// forecast (plan-once), re-plan at every hour as the forecast revises
-// (MPC), and the perfect-foresight oracle — and shows that re-planning
-// recovers most of what forecast error costs.
+// program characterizes a training job's frontier, replays the bundled
+// diurnal day through a seeded noisy-revision forecast stream, and
+// compares the perfect-foresight oracle, plan-once-on-the-first-
+// forecast, MPC re-planning (point and robust-quantile), and a
+// seasonal-naive model forecasting from revealed history alone. It
+// then shows the MPC run's predicted-vs-realized drift hour by hour,
+// and the multi-region analogue over the phase-shifted pair, where
+// every re-plan pays to migrate away from the job's current region.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 
 	"perseus/internal/experiments"
 	"perseus/internal/forecast"
 	"perseus/internal/gpu"
 	"perseus/internal/grid"
+	"perseus/internal/region"
 )
 
 func main() {
-	sys, err := experiments.BuildSystem(experiments.WorkloadConfig{
-		Display: "gpt3-1.3b", Model: "gpt3-1.3b", Stages: 2,
-		MicrobatchSize: 4, Microbatches: 8,
-	}, gpu.A100PCIe, experiments.Quick)
+	cfg := experiments.WorkloadConfig{
+		Display: "GPT-3 1.3B", Model: "gpt3-1.3b", Stages: 4,
+		MicrobatchSize: 4, Microbatches: 16,
+	}
+	g := gpu.A100PCIe
+	fmt.Printf("characterizing %s on %s...\n", cfg.Display, g.Name)
+	sys, err := experiments.BuildSystem(cfg, g, experiments.Quick)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lt := sys.Frontier.Table()
+
+	// Finish 55% of the day's T* capacity by midnight, planning against
+	// a revision stream with 12% relative innovation per hour.
+	const util, seed, sigma = 0.55, 1, 0.12
 	truth := grid.Diurnal24h()
-	target := math.Floor(0.55 * truth.Horizon() / lt.TStar())
-	opts := forecast.Options{Target: target}
-	prov := &forecast.Revisions{Truth: truth, Seed: 7, Sigma: 0.12}
+	scenario := experiments.ForecastScenario{
+		Truth:  truth,
+		Seed:   seed,
+		Sigma:  sigma,
+		Target: math.Floor(util * truth.Horizon() / lt.TStar()),
+	}
+	fmt.Printf("trace %s: %d intervals over %.0f h; target %.0f iterations; revisions seed %d, sigma %.0f%%/step\n\n",
+		truth.Name, len(truth.Intervals), truth.Horizon()/3600, scenario.Target, seed, 100*sigma)
 
-	// What the operator sees at dawn vs what the day will really do.
-	fc, err := prov.At(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("hour  truth  forecast@t=0  band")
-	for i, iv := range fc.Signal.Intervals {
-		fmt.Printf("%4d  %5.0f  %12.0f  [%.0f, %.0f]\n",
-			i, truth.Intervals[i].CarbonGPerKWh, iv.CarbonGPerKWh,
-			fc.Carbon[i].Lo, fc.Carbon[i].Hi)
-	}
-
-	oracle, err := forecast.Oracle(lt, truth, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	once, err := forecast.PlanOnce(lt, prov, truth, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mpc, err := forecast.Replan(lt, prov, truth, opts)
+	strategies, err := experiments.ForecastComparison(lt, scenario)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\ntarget: %.0f iterations by hour 24\n\n", target)
-	fmt.Printf("%-28s %10s %8s %10s\n", "strategy", "carbon(kg)", "plans", "vs oracle")
-	for _, row := range []struct {
-		name string
-		o    *forecast.Outcome
-	}{
-		{"oracle (perfect foresight)", oracle},
-		{"plan-once (first forecast)", once},
-		{"MPC re-planning", mpc},
+	// The multi-region comparison runs on the pair coarsened to six
+	// steps, with a 10-minute checkpoint transfer per migration.
+	pair := region.PhaseShiftedPair(0)
+	for i := range pair {
+		pair[i].Signal = forecast.Coarsen(pair[i].Signal, 6)
+	}
+	target := math.Floor(0.5 * pair[0].Signal.Horizon() / lt.TStar())
+	mig := region.MigrationCost{DowntimeS: 600, EnergyJ: 5e6}
+	rs, err := experiments.RegionForecastComparison(lt, pair, target, mig, seed, sigma)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, t := range []*experiments.Table{
+		experiments.ForecastComparisonTable(scenario, strategies),
+		experiments.ForecastDriftTable(strategies[2].Outcome),
+		experiments.RegionForecastComparisonTable(rs),
 	} {
-		fmt.Printf("%-28s %10.3f %8d %+9.1f%%\n", row.name, row.o.CarbonG/1e3, row.o.Plans,
-			100*(row.o.CarbonG-oracle.CarbonG)/oracle.CarbonG)
+		if err := t.Render(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	}
-	fmt.Printf("\nre-planning recovered %.1f%% of the carbon plan-once left on the table\n",
-		100*(once.CarbonG-mpc.CarbonG)/(once.CarbonG-oracle.CarbonG))
 }

@@ -6,12 +6,16 @@
 // surface: with deadline slack, the planner runs during the midday
 // solar valley, sprints when it must, and idles through the evening
 // ramp peak — at provably minimal total carbon for the iterations
-// completed.
+// completed. The program replays the bundled 24-hour diurnal trace,
+// prints the carbon-optimal plan hour by hour, and compares it with
+// the two signal-blind baselines — always-T_min (sprint, then stop)
+// and static min-energy (every iteration at T*).
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"perseus/internal/experiments"
 	"perseus/internal/gpu"
@@ -19,47 +23,39 @@ import (
 )
 
 func main() {
-	sys, err := experiments.BuildSystem(experiments.WorkloadConfig{
-		Display: "gpt3-1.3b", Model: "gpt3-1.3b", Stages: 2,
-		MicrobatchSize: 4, Microbatches: 8,
-	}, gpu.A100PCIe, experiments.Quick)
+	cfg := experiments.WorkloadConfig{
+		Display: "GPT-3 1.3B", Model: "gpt3-1.3b", Stages: 4,
+		MicrobatchSize: 4, Microbatches: 16,
+	}
+	g := gpu.A100PCIe
+	fmt.Printf("characterizing %s on %s...\n", cfg.Display, g.Name)
+	sys, err := experiments.BuildSystem(cfg, g, experiments.Quick)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lt := sys.Frontier.Table()
-	sig := grid.Diurnal24h()
 
 	// Finish 55% of a full day's T* capacity by midnight.
-	target := 0.55 * sig.Horizon() / lt.TStar()
+	const util = 0.55
+	sig := grid.Diurnal24h()
+	target := util * sig.Horizon() / lt.TStar()
+	fmt.Printf("trace %s: %d intervals over %.0f h; target %.0f iterations (%.0f%% of T* capacity)\n\n",
+		sig.Name, len(sig.Intervals), sig.Horizon()/3600, target, 100*util)
+
+	strategies, err := experiments.GridComparison(lt, sig, target, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	plan, err := grid.Optimize(lt, sig, grid.Options{Target: target})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fast, err := grid.Fixed(lt, 0, sig, grid.Options{Target: target})
-	if err != nil {
-		log.Fatal(err)
-	}
-	slow, err := grid.Fixed(lt, len(lt.Points)-1, sig, grid.Options{Target: target})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("target: %.0f iterations by hour 24 (deadline slack: T* needs only %.1f h)\n\n",
-		target, target*lt.TStar()/3600)
-	fmt.Println("hour  gCO2/kWh  plan")
-	for _, ip := range plan.Intervals {
-		bar := "idle"
-		if len(ip.Slices) > 0 {
-			bar = fmt.Sprintf("run %4.0f min at T=%.3fs", (ip.EndS-ip.StartS-ip.IdleS)/60, lt.PointTime(ip.Slices[0].Point))
+	for _, t := range []*experiments.Table{
+		experiments.GridPlanTable(lt, plan),
+		experiments.GridComparisonTable(sig, strategies),
+	} {
+		if err := t.Render(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%4.0f  %8.0f  %s\n", ip.StartS/3600, ip.CarbonGPerKWh, bar)
-	}
-	fmt.Printf("\n%-22s %10s %12s\n", "strategy", "carbon(kg)", "vs fast")
-	for _, row := range []struct {
-		name string
-		p    *grid.Plan
-	}{{"always-Tmin", fast}, {"static min-energy", slow}, {"grid-aware", plan}} {
-		fmt.Printf("%-22s %10.3f %+11.1f%%\n", row.name, row.p.CarbonG/1e3,
-			100*(row.p.CarbonG-fast.CarbonG)/fast.CarbonG)
 	}
 }

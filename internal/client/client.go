@@ -678,6 +678,7 @@ type ReplanInterval struct {
 	CostUSD     float64      `json:"cost_usd"`
 	PredCarbonG float64      `json:"pred_carbon_g"`
 	PredCostUSD float64      `json:"pred_cost_usd"`
+	Replanned   bool         `json:"replanned,omitempty"`
 }
 
 // Replan mirrors the server's rolling-horizon schedule state: the

@@ -471,107 +471,3 @@ func TestMPCModelProvidersCompleteTarget(t *testing.T) {
 		}
 	}
 }
-
-// tailRevised wraps a base provider and, from the first re-plan on,
-// perturbs every forecast interval at or past ReviseFromS — a tail-only
-// revision: the remaining planning window before that point is
-// untouched.
-type tailRevised struct {
-	Base        Provider
-	ReviseFromS float64
-}
-
-func (p *tailRevised) Name() string { return p.Base.Name() + "/tail-revised" }
-
-func (p *tailRevised) At(t float64) (*Forecast, error) {
-	f, err := p.Base.At(t)
-	if err != nil {
-		return nil, err
-	}
-	if t == 0 {
-		return f, nil
-	}
-	factor := 1.5 + t/1e7 // a fresh revision at every tick
-	for i := range f.Signal.Intervals {
-		iv := &f.Signal.Intervals[i]
-		if iv.StartS >= p.ReviseFromS {
-			iv.CarbonGPerKWh *= factor
-			f.Carbon[i].Lo *= factor
-			f.Carbon[i].Hi *= factor
-		}
-	}
-	return f, nil
-}
-
-// TestMPCWarmStartsOnUnchangedForecast pins the warm-start contract:
-// with perfect foresight every re-plan tick sees the identical window,
-// so the controller plans exactly once and reuses the running plan's
-// suffix at every later tick — and the realized outcome still matches
-// the oracle.
-func TestMPCWarmStartsOnUnchangedForecast(t *testing.T) {
-	lt := convexTable(0.01, 80, 120, 3000, 120)
-	truth := grid.Diurnal24h()
-	opts := testOptions(lt, truth)
-	oracle, err := Oracle(lt, truth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpc, err := Replan(lt, &Perfect{Truth: truth}, truth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpc.Plans != 1 {
-		t.Fatalf("perfect-foresight MPC planned %d times, want 1 (all warm)", mpc.Plans)
-	}
-	if mpc.WarmStarts == 0 {
-		t.Fatal("perfect-foresight MPC took no warm starts")
-	}
-	if math.Abs(mpc.CarbonG-oracle.CarbonG) > 1e-6*(1+oracle.CarbonG) {
-		t.Fatalf("warm-started MPC carbon %v != oracle %v", mpc.CarbonG, oracle.CarbonG)
-	}
-	if math.Abs(mpc.Iterations-opts.Target) > 1e-6*(1+opts.Target) {
-		t.Fatalf("warm-started MPC iterations %v != target %v", mpc.Iterations, opts.Target)
-	}
-}
-
-// TestMPCWarmStartTailOnlyRevision pins the sharper claim: a revision
-// that only touches intervals past the planning deadline keeps the
-// warm path, while the same revision inside the window forces a cold
-// re-plan.
-func TestMPCWarmStartTailOnlyRevision(t *testing.T) {
-	lt := convexTable(0.01, 80, 120, 3000, 120)
-	truth := grid.Diurnal24h()
-	opts := testOptions(lt, truth)
-	opts.Target *= 0.5
-	opts.DeadlineS = 12 * 3600 // plan over half the trace
-
-	// Forecast covers the full day but revisions only touch hours past
-	// the deadline: every tick takes the warm path.
-	warm, err := Replan(lt, &tailRevised{
-		Base:        &Perfect{Truth: truth},
-		ReviseFromS: opts.DeadlineS,
-	}, truth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Plans != 1 || warm.WarmStarts == 0 {
-		t.Fatalf("tail-only revision: plans %d, warm starts %d; want 1 plan, all ticks warm",
-			warm.Plans, warm.WarmStarts)
-	}
-
-	// The same revision biting one hour inside the window: cold from
-	// the first re-plan on.
-	cold, err := Replan(lt, &tailRevised{
-		Base:        &Perfect{Truth: truth},
-		ReviseFromS: opts.DeadlineS - 3600,
-	}, truth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStarts != 0 {
-		t.Fatalf("in-window revision still took %d warm starts", cold.WarmStarts)
-	}
-	if cold.Plans < 2 {
-		t.Fatalf("in-window revision planned %d times, want a re-plan per tick", cold.Plans)
-	}
-}

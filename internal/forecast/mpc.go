@@ -59,11 +59,6 @@ type Outcome struct {
 	// Plans counts planner invocations (plan-once runs have exactly 1).
 	Plans int `json:"plans"`
 
-	// WarmStarts counts decision ticks that skipped re-optimization
-	// because the forecast was unchanged across the remaining window —
-	// the previous plan's suffix is still optimal and keeps executing.
-	WarmStarts int `json:"warm_starts,omitempty"`
-
 	// Feasible reports whether the target was actually completed by the
 	// deadline under the truth.
 	Feasible bool `json:"feasible"`
@@ -122,10 +117,12 @@ func Oracle(lt *frontier.LookupTable, truth *grid.Signal, opts Options) (*Outcom
 	return out, nil
 }
 
-// run is the shared executor. Forecast intervals must align with the
-// truth's cyclic interval grid (all bundled providers guarantee this);
-// execution clips slices at decision boundaries regardless, so a
-// misaligned provider degrades accounting resolution, not correctness.
+// run is the shared executor: a Rolling schedule frozen and re-planned
+// at every decision time, then frozen to the deadline. Forecast
+// intervals must align with the truth's cyclic interval grid (all
+// bundled providers guarantee this); execution clips slices at
+// decision boundaries regardless, so a misaligned provider degrades
+// accounting resolution, not correctness.
 func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Options, replanEvery bool) (*Outcome, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("forecast: controller needs a provider")
@@ -175,21 +172,13 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 			mode = fmt.Sprintf("mpc@q%.2f", q)
 		}
 	}
-	out := &Outcome{
-		Strategy:  prov.Name() + "/" + mode,
-		Target:    opts.Target,
-		DeadlineS: deadline,
-		FinishS:   -1,
-	}
-	remaining := opts.Target
-	var plan *grid.Plan
-	var planView *grid.Signal // the q-view the current plan was built on (absolute time)
-	planAt := 0.0
-	for di, d := range decisions {
-		if remaining <= 1e-9*(1+opts.Target) {
+	r := &Rolling{Target: opts.Target, DeadlineS: deadline, Objective: opts.Objective, Quantile: q}
+	for _, d := range decisions {
+		r.Freeze(lt, truth, scale, d)
+		if r.Complete() {
 			break
 		}
-		if di > 0 {
+		if d > 0 {
 			if fc, err = prov.At(d); err != nil {
 				return nil, err
 			}
@@ -197,84 +186,144 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 				return nil, err
 			}
 		}
-		view := fc.At(q)
-		if plan != nil && SignalEqualWithin(planView, view, d, deadline) {
-			// Warm start: the revision left every interval in the
-			// remaining window untouched (only already-executed or
-			// beyond-deadline intervals changed), so the running plan's
-			// suffix is still the optimum for the remaining target —
-			// keep executing it instead of re-solving.
-			out.WarmStarts++
-		} else {
-			suffix := Window(view, d, deadline)
-			plan, err = grid.Optimize(lt, suffix, grid.Options{
-				Target:     remaining,
-				Objective:  opts.Objective,
-				PowerScale: scale,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Plans++
-			planAt = d
-			planView = view
+		plan, err := grid.Optimize(lt, r.Window(fc), grid.Options{
+			Target:     r.Left(),
+			Objective:  opts.Objective,
+			PowerScale: scale,
+		})
+		if err != nil {
+			return nil, err
 		}
+		r.Install(plan, fc.Signal)
+	}
+	r.Freeze(lt, truth, scale, deadline)
 
-		// Execute the plan up to the next decision time (or, for the
-		// final plan, to the deadline).
-		end := deadline
-		if di+1 < len(decisions) {
-			end = decisions[di+1]
-		}
-		for _, ip := range plan.Intervals {
-			absStart, absEnd := planAt+ip.StartS, planAt+ip.EndS
-			if absEnd <= d+1e-9 {
-				continue // already executed in an earlier span (warm start keeps the old plan)
-			}
-			slices := ip.Slices
-			if absStart < d {
-				// A warm-started plan interval straddling the decision
-				// time: the part before d already ran (and was recorded
-				// by the previous span, idle tail included) — resume the
-				// remainder from d.
-				slices, _ = clipPaused(slices, absStart, d)
-				absStart = d
-			}
-			if absStart >= end-1e-9 {
-				break
-			}
-			if absEnd > end {
-				absEnd = end
-			}
-			ei := ExecuteSlices(lt, truth, fc.Signal, scale, absStart, absEnd, slices)
-			ei.Replanned = len(out.Intervals) == 0 || out.Intervals[len(out.Intervals)-1].EndS <= planAt
-			if out.FinishS < 0 && out.Iterations+ei.Iterations >= opts.Target-1e-9 {
-				need := opts.Target - out.Iterations
-				at := ei.StartS
-				for _, sl := range ei.Slices {
-					rate := 1 / lt.PointTime(sl.Point)
-					if got := sl.Seconds * rate; got < need {
-						need -= got
-						at += sl.Seconds
-					} else {
-						at += need / rate
-						break
-					}
-				}
-				out.FinishS = at
-			}
-			remaining -= ei.Iterations
-			out.Iterations += ei.Iterations
-			out.EnergyJ += ei.EnergyJ
-			out.CarbonG += ei.CarbonG
-			out.CostUSD += ei.CostUSD
-			out.PredCarbonG += ei.PredCarbonG
-			out.PredCostUSD += ei.PredCostUSD
-			out.Intervals = append(out.Intervals, ei)
-		}
+	out := &Outcome{
+		Strategy:   prov.Name() + "/" + mode,
+		Target:     opts.Target,
+		DeadlineS:  deadline,
+		Plans:      r.Plans,
+		FinishS:    finishS(lt, r.Frozen, opts.Target),
+		Iterations: r.DoneIterations,
+		Intervals:  r.Frozen,
+	}
+	for _, ei := range r.Frozen {
+		out.EnergyJ += ei.EnergyJ
+		out.CarbonG += ei.CarbonG
+		out.CostUSD += ei.CostUSD
+		out.PredCarbonG += ei.PredCarbonG
+		out.PredCostUSD += ei.PredCostUSD
 	}
 	out.Feasible = out.Iterations >= opts.Target-1e-6*(1+opts.Target)
 	return out, nil
+}
+
+// finishS returns the time the executed spans reached target
+// iterations, or -1 when they never did.
+func finishS(lt *frontier.LookupTable, spans []ExecutedInterval, target float64) float64 {
+	var done float64
+	for _, ei := range spans {
+		if done+ei.Iterations < target-1e-9 {
+			done += ei.Iterations
+			continue
+		}
+		need := target - done
+		at := ei.StartS
+		for _, sl := range ei.Slices {
+			rate := 1 / lt.PointTime(sl.Point)
+			if got := sl.Seconds * rate; got < need {
+				need -= got
+				at += sl.Seconds
+			} else {
+				return at + need/rate
+			}
+		}
+		return at
+	}
+	return -1
+}
+
+// Rolling is one job's rolling-horizon schedule: the request it
+// serves, the spans executed so far, and the plan in force for the
+// rest of the window. The offline controllers (Replan, PlanOnce,
+// Oracle) and the server's GET /grid/replan roll the same state
+// forward — Freeze commits what ran up to a time, Install puts a
+// fresh plan in force from there — so both freeze spans identically.
+type Rolling struct {
+	// Target, DeadlineS (absolute signal seconds), Objective and
+	// Quantile are the request; Quantile 0 plans on the point forecast.
+	Target    float64
+	DeadlineS float64
+	Objective grid.Objective
+	Quantile  float64
+
+	// OffsetS is the time the schedule is frozen up to, and Plan's
+	// t = 0. Frozen holds the executed spans in time order;
+	// DoneIterations totals them.
+	OffsetS        float64
+	DoneIterations float64
+	Frozen         []ExecutedInterval
+
+	// Plan is the plan in force from OffsetS (nil when none is), and
+	// Forecast the point forecast it was built on — the rates its spans'
+	// predicted accrual is settled at.
+	Plan     *grid.Plan
+	Forecast *grid.Signal
+
+	// Plans counts installed plans.
+	Plans int
+
+	fresh bool // no span of Plan has been frozen yet
+}
+
+// Left returns the iterations the frozen spans still owe the target.
+func (r *Rolling) Left() float64 { return r.Target - r.DoneIterations }
+
+// Complete reports whether the frozen spans reached the target.
+func (r *Rolling) Complete() bool { return r.Left() <= 1e-9*(1+r.Target) }
+
+// Window returns the planning problem at the offset: fc's quantile
+// view over [OffsetS, DeadlineS), shifted to start at 0.
+func (r *Rolling) Window(fc *Forecast) *grid.Signal {
+	q := r.Quantile
+	if q == 0 {
+		q = 0.5
+	}
+	return Window(fc.At(q), r.OffsetS, r.DeadlineS)
+}
+
+// Freeze executes the plan in force from OffsetS up to t — realized
+// against truth, predicted against the plan's forecast, at power
+// scale — appends the spans to Frozen, and moves OffsetS to t. The
+// plan is then spent: none is in force until the next Install. The
+// first span a plan executes is marked Replanned.
+func (r *Rolling) Freeze(lt *frontier.LookupTable, truth *grid.Signal, scale, t float64) {
+	if r.Plan != nil {
+		for _, ip := range r.Plan.Intervals {
+			start, end := r.OffsetS+ip.StartS, r.OffsetS+ip.EndS
+			if start >= t-1e-9 {
+				break
+			}
+			if end > t {
+				end = t
+			}
+			ei := executeSlices(lt, truth, r.Forecast, scale, start, end, ip.Slices)
+			ei.Replanned = r.fresh
+			r.fresh = false
+			r.Frozen = append(r.Frozen, ei)
+			r.DoneIterations += ei.Iterations
+		}
+	}
+	r.Plan, r.Forecast = nil, nil
+	r.OffsetS = t
+}
+
+// Install puts plan — interval times relative to OffsetS, built on the
+// point forecast pred — in force.
+func (r *Rolling) Install(plan *grid.Plan, pred *grid.Signal) {
+	r.Plan, r.Forecast = plan, pred
+	r.Plans++
+	r.fresh = true
 }
 
 // Planner adapts the forecast-driven controllers to the shared
@@ -305,45 +354,12 @@ func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
 	return PlanOnce(p.Table, p.Provider, p.Truth, req)
 }
 
-// SignalEqualWithin reports whether two absolute-time signals agree
-// exactly (same boundaries, rates, and caps) on every interval
-// overlapping (from, to) — the warm-start test: a forecast revision
-// that only touched intervals outside the remaining planning window
-// leaves the plan built on the old signal optimal. Exact float
-// equality is deliberate: anything less re-plans, which is always
-// correct, just colder.
-func SignalEqualWithin(a, b *grid.Signal, from, to float64) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	overlapFrom := func(ivs []grid.Interval, k int) int {
-		for k < len(ivs) && ivs[k].EndS <= from+1e-9 {
-			k++
-		}
-		return k
-	}
-	i, j := 0, 0
-	for {
-		i, j = overlapFrom(a.Intervals, i), overlapFrom(b.Intervals, j)
-		aDone := i >= len(a.Intervals) || a.Intervals[i].StartS >= to-1e-9
-		bDone := j >= len(b.Intervals) || b.Intervals[j].StartS >= to-1e-9
-		if aDone || bDone {
-			return aDone && bDone
-		}
-		if a.Intervals[i] != b.Intervals[j] {
-			return false
-		}
-		i++
-		j++
-	}
-}
-
-// ExecuteSlices runs a planned interval's slices (back-to-back from
+// executeSlices runs a planned interval's slices (back-to-back from
 // the interval start, clipped at the interval end) against the truth,
 // accounting realized emissions at the truth's rates and predicted
-// ones at the planning forecast's. It is the accounting primitive the
-// MPC controllers and the server's re-planning endpoint share.
-func ExecuteSlices(lt *frontier.LookupTable, truth, predicted *grid.Signal, scale, startS, endS float64, slices []grid.Slice) ExecutedInterval {
+// ones at the planning forecast's. It is the accounting primitive
+// behind Rolling.Freeze and the multi-region controller's execution.
+func executeSlices(lt *frontier.LookupTable, truth, predicted *grid.Signal, scale, startS, endS float64, slices []grid.Slice) ExecutedInterval {
 	ei := ExecutedInterval{StartS: startS, EndS: endS}
 	at := startS
 	for _, sl := range slices {

@@ -348,7 +348,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 						slices, absStart = clipPaused(slices, absStart, until)
 					}
 				}
-				ei := ExecuteSlices(job.Table, truths[rIdx], fsignals[rIdx], scale,
+				ei := executeSlices(job.Table, truths[rIdx], fsignals[rIdx], scale,
 					absStart, d+math.Min(ip.EndS, span), slices)
 				st.remaining -= ei.Iterations
 				st.out.Iterations += ei.Iterations

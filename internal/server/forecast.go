@@ -130,27 +130,21 @@ type ReplanResponse struct {
 	RemainingOffsetS float64    `json:"remaining_offset_s"`
 }
 
-// replanState is a job's rolling-horizon state between roll-forwards
-// (client GET /grid/replan calls and controller ticks share it).
-// Guarded by Server.replanMu.
+// replanState is a job's rolling-horizon schedule between roll-
+// forwards (client GET /grid/replan calls and controller ticks share
+// it) plus what only the server tracks about it. Its Rolling pins the
+// effective deadline and quantile at creation. Guarded by
+// Server.replanMu.
 type replanState struct {
-	target      float64
-	reqDeadline float64 // the raw request parameter (0 = default)
-	deadlineS   float64 // the effective deadline, pinned at creation
-	objective   grid.Objective
-	reqQuantile float64 // the raw request parameter (0 = installed default)
-	quantile    float64 // the effective quantile, pinned at creation
+	forecast.Rolling
 
-	offsetS   float64 // signal time of remaining's t = 0
-	doneIters float64
-	frozen    []ReplanInterval
-	remaining *grid.Plan
-	predSig   *grid.Signal // point forecast the remaining plan was built on
-	planView  *grid.Signal // quantile view the remaining plan was solved against
-	plans     int
-	frevSeen  int  // forecast revision the remaining plan was built on
-	feasible  bool // latest feasibility verdict
-	needPlan  bool // last re-plan failed; retry on the next roll-forward
+	// reqDeadline and reqQuantile are the raw request parameters
+	// (0 = default) that identify the schedule.
+	reqDeadline float64
+	reqQuantile float64
+
+	frevSeen int  // forecast revision the plan in force was built on
+	needPlan bool // last re-plan failed; retry on the next roll-forward
 
 	// lastPlanAt is the wall-clock time of the last successful re-plan
 	// (zero before the first), surfaced per job in GET /controller.
@@ -366,145 +360,145 @@ func (s *Server) Replan(id string, target, deadline float64, objective string, q
 // replan.freeze, replan.forecast, replan.solve, replan.bump) as
 // children of the active span.
 func (s *Server) replan(ctx context.Context, id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	j, ok := s.st.job(id)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown job %s", id)
-	}
-	j.mu.Lock()
-	table := j.table
-	pipes := j.req.DataParallel
-	j.mu.Unlock()
-	if table == nil {
-		return nil, fmt.Errorf("server: job %s not characterized yet", id)
-	}
-	if pipes <= 0 {
-		pipes = 1
-	}
 	if !(target > 0) || math.IsInf(target, 0) {
 		return nil, fmt.Errorf("server: replan target iterations must be positive and finite, got %v", target)
 	}
 	if math.IsNaN(deadline) || math.IsInf(deadline, 0) || deadline < 0 {
 		return nil, fmt.Errorf("server: replan deadline must be finite and non-negative, got %v", deadline)
 	}
-
-	_, insp := obs.Child(ctx, spanReplanInputs)
-	insp.SetAttr("job", id)
-	s.replanMu.Lock()
+	in, err := s.lockRollInputs(ctx, id)
+	if err != nil {
+		return nil, err
+	}
 	defer s.replanMu.Unlock()
-	// The signal/forecast snapshot AND the clock are read inside the
-	// roll-forward lock. The clock: two racing callers (a controller
-	// tick and a client replan) otherwise freeze at different instants
-	// and the loser would rewind the schedule offset, double-counting
-	// spans the winner already froze. The snapshot: POST /grid/signal
-	// clears the rolling schedules under this same lock, so a replan
-	// that snapshotted the old signal outside it could re-insert a
-	// schedule of the replaced trace (anchored to the old clock) into
-	// the freshly cleared map.
 	// The raw quantile parameter identifies the schedule (like the raw
 	// deadline): 0 resolves to the issuer's default once, at creation,
 	// so a forecast re-install with a different default is a revision
 	// of the forecast — never a silent restart of a rolling schedule
 	// that asked for "the default".
 	reqQuantile := quantile
-	sig, start, spec, obj, frev, err := s.planInputsLocked()
-	if err != nil {
-		insp.Fail(err)
-		insp.End()
-		return nil, err
-	}
 	if quantile == 0 {
-		quantile = spec.quantile
+		quantile = in.spec.quantile
 	}
+	obj := in.obj
 	if objective != "" {
 		if obj, err = grid.ParseObjective(objective); err != nil {
-			insp.Fail(err)
-			insp.End()
 			return nil, err
 		}
 	}
 	if math.IsNaN(quantile) || quantile < 0 || quantile >= 1 {
-		insp.End()
 		return nil, fmt.Errorf("server: replan quantile must be in [0, 1), got %v", quantile)
 	}
 
-	t := s.st.now().Sub(start).Seconds()
-	if t < 0 {
-		t = 0
-	}
-	insp.End()
-
-	st := s.replans[id]
 	// The restart check compares the *requested* deadline: with the 0
 	// default the effective deadline is pinned once at state creation
 	// (the forecast horizon then), so the horizon growing with time on
 	// later calls is not mistaken for a parameter change.
-	if st == nil || st.target != target || st.reqDeadline != deadline ||
-		st.objective != obj || st.reqQuantile != reqQuantile {
-		_, fsp := obs.Child(ctx, spanReplanFcast)
-		fc, err := issueForecast(sig, spec, t, deadline)
-		fsp.Fail(err)
-		fsp.End()
-		if err != nil {
-			return nil, err
-		}
-		eff := deadline
-		if eff == 0 {
-			eff = fc.Signal.Horizon()
-		}
-		if eff <= t {
-			return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, t)
-		}
-		if eff > fc.Signal.Horizon()+1e-9 {
-			return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
-		}
-		st = &replanState{
-			target: target, reqDeadline: deadline, deadlineS: eff,
-			objective: obj, reqQuantile: reqQuantile, quantile: quantile,
-			offsetS: t, frevSeen: frev,
-		}
-		s.replans[id] = st
-		if err := s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, fc); err != nil {
-			delete(s.replans, id)
+	if st := s.replans[id]; st != nil && st.Target == target && st.reqDeadline == deadline &&
+		st.Objective == obj && st.reqQuantile == reqQuantile {
+		if err := s.advanceLocked(ctx, st, in); err != nil {
 			return nil, err
 		}
 		return replanView(id, st), nil
 	}
-
-	// A roll-forward is warranted when time advanced past the last plan
-	// offset or the forecast was revised; otherwise the current state
-	// is already the answer. Time never rewinds: a racing caller that
-	// read the clock before a faster one froze later spans clamps to
-	// the schedule's own offset.
-	if t < st.offsetS {
-		t = st.offsetS
+	_, fsp := obs.Child(ctx, spanReplanFcast)
+	fc, err := issueForecast(in.sig, in.spec, in.t, deadline)
+	fsp.Fail(err)
+	fsp.End()
+	if err != nil {
+		return nil, err
 	}
-	if t > st.offsetS+1e-9 || st.frevSeen != frev || st.needPlan {
-		if err := s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, nil); err != nil {
-			return nil, err
-		}
+	eff := deadline
+	if eff == 0 {
+		eff = fc.Signal.Horizon()
+	}
+	if eff <= in.t {
+		return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, in.t)
+	}
+	if eff > fc.Signal.Horizon()+1e-9 {
+		return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
+	}
+	st := &replanState{
+		Rolling: forecast.Rolling{
+			Target: target, DeadlineS: eff, Objective: obj, Quantile: quantile, OffsetS: in.t,
+		},
+		reqDeadline: deadline, reqQuantile: reqQuantile,
+	}
+	s.replans[id] = st
+	if err := s.rollForwardLocked(ctx, st, in, fc); err != nil {
+		delete(s.replans, id)
+		return nil, err
 	}
 	return replanView(id, st), nil
 }
 
-// planInputsLocked snapshots the planning inputs a roll-forward needs
-// — installed signal, its anchor, the forecast issuer, the default
-// objective, and the forecast revision. Callers hold replanMu, so the
-// snapshot cannot interleave with POST /grid/signal's state reset.
-func (s *Server) planInputsLocked() (*grid.Signal, time.Time, *forecastSpec, grid.Objective, int, error) {
+// rollInputs is what a roll-forward reads: the characterized job with
+// its table and data-parallel pipe count, the installed signal and
+// forecast issuer, the default objective, the forecast revision, and
+// the signal time now.
+type rollInputs struct {
+	j     *job
+	table *frontier.LookupTable
+	pipes int
+	sig   *grid.Signal
+	spec  *forecastSpec
+	obj   grid.Objective
+	frev  int
+	t     float64
+}
+
+// lockRollInputs is the prelude Replan and the controller tick share,
+// recorded as the replan.inputs span: it looks up the characterized
+// job, takes replanMu, and snapshots the planning inputs and the clock
+// under it. On success it returns with replanMu held for the caller to
+// release; on error the lock is already released.
+//
+// The snapshot and the clock are read inside the roll-forward lock.
+// The clock: two racing callers (a controller tick and a client
+// replan) otherwise freeze at different instants and the loser would
+// rewind the schedule offset, double-counting spans the winner already
+// froze. The snapshot: POST /grid/signal clears the rolling schedules
+// under this same lock, so a replan that snapshotted the old signal
+// outside it could re-insert a schedule of the replaced trace
+// (anchored to the old clock) into the freshly cleared map.
+func (s *Server) lockRollInputs(ctx context.Context, id string) (rollInputs, error) {
+	j, ok := s.st.job(id)
+	if !ok {
+		return rollInputs{}, fmt.Errorf("server: unknown job %s", id)
+	}
+	in := rollInputs{j: j}
+	j.mu.Lock()
+	in.table, in.pipes = j.table, j.req.DataParallel
+	j.mu.Unlock()
+	if in.table == nil {
+		return rollInputs{}, fmt.Errorf("server: job %s not characterized yet", id)
+	}
+	if in.pipes <= 0 {
+		in.pipes = 1
+	}
+
+	_, insp := obs.Child(ctx, spanReplanInputs)
+	insp.SetAttr("job", id)
+	defer insp.End()
+	s.replanMu.Lock()
 	s.st.mu.Lock()
-	sig := s.st.signal
+	in.sig, in.spec, in.obj, in.frev = s.st.signal, s.st.fspec, s.st.objective, s.st.frev
 	start := s.st.sigStart
-	spec := s.st.fspec
-	obj := s.st.objective
-	frev := s.st.frev
 	s.st.mu.Unlock()
-	if sig == nil {
-		return nil, time.Time{}, nil, "", 0, fmt.Errorf("server: no grid signal installed")
+	var err error
+	switch {
+	case in.sig == nil:
+		err = fmt.Errorf("server: no grid signal installed")
+	case in.spec == nil:
+		err = fmt.Errorf("server: no forecast installed; POST /grid/forecast first")
 	}
-	if spec == nil {
-		return nil, time.Time{}, nil, "", 0, fmt.Errorf("server: no forecast installed; POST /grid/forecast first")
+	if err != nil {
+		s.replanMu.Unlock()
+		insp.Fail(err)
+		return rollInputs{}, err
 	}
-	return sig, start, spec, obj, frev, nil
+	in.t = math.Max(0, s.st.now().Sub(start).Seconds())
+	return in, nil
 }
 
 // advanceManaged rolls an EXISTING rolling schedule forward — the
@@ -514,204 +508,132 @@ func (s *Server) planInputsLocked() (*grid.Signal, time.Time, *forecastSpec, gri
 // re-managed explicitly. Under the tick's trace, the roll-forward's
 // stage spans land as children of the controller.tick root.
 func (s *Server) advanceManaged(ctx context.Context, id string) error {
-	j, ok := s.st.job(id)
-	if !ok {
-		return fmt.Errorf("server: unknown job %s", id)
+	in, err := s.lockRollInputs(ctx, id)
+	if err != nil {
+		return err
 	}
-	j.mu.Lock()
-	table := j.table
-	pipes := j.req.DataParallel
-	j.mu.Unlock()
-	if table == nil {
-		return fmt.Errorf("server: job %s not characterized yet", id)
-	}
-	if pipes <= 0 {
-		pipes = 1
-	}
-	_, insp := obs.Child(ctx, spanReplanInputs)
-	insp.SetAttr("job", id)
-	s.replanMu.Lock()
 	defer s.replanMu.Unlock()
 	st := s.replans[id]
 	if st == nil {
-		err := fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
-		insp.Fail(err)
-		insp.End()
-		return err
+		return fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
 	}
-	sig, start, spec, _, frev, err := s.planInputsLocked()
-	if err != nil {
-		insp.Fail(err)
-		insp.End()
-		return err
-	}
-	t := s.st.now().Sub(start).Seconds()
-	if t < st.offsetS {
-		t = st.offsetS
-	}
-	insp.End()
-	if t > st.offsetS+1e-9 || st.frevSeen != frev || st.needPlan {
-		return s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, nil)
+	return s.advanceLocked(ctx, st, in)
+}
+
+// advanceLocked rolls st forward when time advanced past its offset,
+// the forecast was revised, or the last re-plan failed; otherwise the
+// current state is already the answer. Time never rewinds: a racing
+// caller that read the clock before a faster one froze later spans
+// clamps to the schedule's own offset. Callers hold replanMu.
+func (s *Server) advanceLocked(ctx context.Context, st *replanState, in rollInputs) error {
+	in.t = math.Max(in.t, st.OffsetS)
+	if in.t > st.OffsetS+1e-9 || st.frevSeen != in.frev || st.needPlan {
+		return s.rollForwardLocked(ctx, st, in, nil)
 	}
 	return nil
 }
 
-// rollForwardLocked freezes the span executed since the last plan and
-// re-plans the remainder against a freshly issued forecast (or the
-// pre-issued one the creation path already holds for this t). Callers
-// hold replanMu. On any re-plan the job's schedule version bumps, so
-// long-polling clients observe the change. Each stage records a child
-// span of ctx's active span (replan.freeze, replan.forecast,
-// replan.solve, replan.bump) — under a controller tick these are the
-// tick root's per-stage children.
-func (s *Server) rollForwardLocked(ctx context.Context, st *replanState, j *job, table *frontier.LookupTable, pipes int, sig *grid.Signal, spec *forecastSpec, t float64, frev int, issued *forecast.Forecast) error {
-	// Freeze the span executed since the last plan: walk the previous
-	// remaining plan's intervals up to now.
+// rollForwardLocked freezes the span executed since the last plan up
+// to in.t and re-plans the remainder against a freshly issued forecast
+// (or the pre-issued one the creation path already holds for this t).
+// Callers hold replanMu. On any re-plan the job's schedule version
+// bumps, so long-polling clients observe the change. Each stage
+// records a child span of ctx's active span (replan.freeze,
+// replan.forecast, replan.solve, replan.bump) — under a controller
+// tick these are the tick root's per-stage children.
+func (s *Server) rollForwardLocked(ctx context.Context, st *replanState, in rollInputs, issued *forecast.Forecast) error {
 	_, fz := obs.Child(ctx, spanReplanFreeze)
-	fz.SetAttr("job", j.id)
-	if st.remaining != nil {
-		for _, ip := range st.remaining.Intervals {
-			absStart, absEnd := st.offsetS+ip.StartS, st.offsetS+ip.EndS
-			if absStart >= t-1e-9 {
-				break
-			}
-			if absEnd > t {
-				absEnd = t
-			}
-			ei := forecast.ExecuteSlices(table, sig, st.predSig, float64(pipes), absStart, absEnd, ip.Slices)
-			st.frozen = append(st.frozen, ei)
-			st.doneIters += ei.Iterations
-		}
-	}
-	fz.SetAttr("frozen", strconv.Itoa(len(st.frozen)))
+	fz.SetAttr("job", in.j.id)
+	st.Freeze(in.table, in.sig, float64(in.pipes), in.t)
+	fz.SetAttr("frozen", strconv.Itoa(len(st.Frozen)))
 	fz.End()
 
 	// Re-plan the remainder against the fresh forecast. The freeze
-	// commit above is valid on its own (those spans did execute);
-	// feasibility and the retry flag are settled per branch below so a
-	// failed re-plan never leaves the state claiming a schedule it
-	// does not have — and is retried on the next roll-forward even at
-	// the same time and forecast revision.
-	remaining := st.target - st.doneIters
-	oldPlan, oldOffset, oldView := st.remaining, st.offsetS, st.planView
-	st.remaining = nil
-	st.planView = nil
-	st.offsetS = t
-	st.frevSeen = frev
-	switch {
-	case remaining <= 1e-9*(1+st.target):
-		// Target complete.
-		st.feasible = true
-		st.needPlan = false
-	case t >= st.deadlineS-1e-9:
-		// The deadline has passed with work left: nothing to plan.
-		st.feasible = false
-		st.needPlan = false
-	default:
-		st.feasible = false
-		st.needPlan = true
-		fc := issued
-		if fc == nil {
-			_, fsp := obs.Child(ctx, spanReplanFcast)
-			fsp.SetAttr("job", j.id)
-			var err error
-			if fc, err = issueForecast(sig, spec, t, st.reqDeadline); err != nil {
-				fsp.Fail(err)
-				fsp.End()
-				s.obs.replanFails.Inc()
-				return err
-			}
-			fsp.End()
-		}
-		q := st.quantile
-		if q == 0 {
-			q = 0.5
-		}
-		view := fc.At(q)
-		// Warm start: if nothing has executed since the last plan
-		// (same offset) and the revised forecast's quantile view is
-		// identical over the remaining window, the old plan is still
-		// optimal — keep it and skip the solve. The schedule did not
-		// change, so long-pollers are not woken and plans does not bump.
-		if oldPlan != nil && oldView != nil && t == oldOffset &&
-			forecast.SignalEqualWithin(oldView, view, t, st.deadlineS) {
-			st.remaining = oldPlan
-			st.planView = oldView
-			st.feasible = oldPlan.Feasible
-			st.needPlan = false
-			s.obs.warmStarts.Inc()
-			s.obs.ring.Emit(s.st.now(), "controller.replan.warm", 0, traceKV(ctx,
-				"job", j.id, "plan", strconv.Itoa(st.plans))...)
-			return nil
-		}
-		// The re-plan runs through the instrumented grid planner over
-		// the forecast window — the MPC counterpart of forecast.Planner,
-		// reported as its own planning layer.
-		suffix := forecast.Window(view, t, st.deadlineS)
-		sctx, sv := obs.Child(ctx, spanReplanSolve)
-		sv.SetAttr("job", j.id)
-		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: table, Signal: suffix}),
-			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
-		res, err := p.Plan(pln.Request{
-			Target:     remaining,
-			Objective:  st.objective,
-			PowerScale: float64(pipes),
-		})
+	// above is valid on its own (those spans did execute); a failed
+	// re-plan leaves no plan in force and is retried on the next
+	// roll-forward even at the same time and forecast revision.
+	st.frevSeen = in.frev
+	st.needPlan = false
+	if st.Complete() || in.t >= st.DeadlineS-1e-9 {
+		// Target complete, or the deadline passed with work left:
+		// nothing to plan.
+		return nil
+	}
+	st.needPlan = true
+	fc := issued
+	if fc == nil {
+		_, fsp := obs.Child(ctx, spanReplanFcast)
+		fsp.SetAttr("job", in.j.id)
+		var err error
+		fc, err = issueForecast(in.sig, in.spec, in.t, st.reqDeadline)
+		fsp.Fail(err)
+		fsp.End()
 		if err != nil {
-			sv.Fail(err)
-			sv.End()
 			s.obs.replanFails.Inc()
 			return err
 		}
-		sv.End()
-		plan := res.(*grid.Plan)
-		now := s.st.now()
-		st.remaining = plan
-		st.predSig = fc.Signal
-		st.planView = view
-		st.plans++
-		st.feasible = plan.Feasible
-		st.needPlan = false
-		st.lastPlanAt = now
-		s.obs.replans.Inc()
-		s.obs.ring.Emit(now, "controller.replan", 0, traceKV(ctx,
-			"job", j.id, "plan", strconv.Itoa(st.plans),
-			"feasible", strconv.FormatBool(plan.Feasible))...)
-		// The rolling schedule changed: bump the job's version so
-		// long-polling trainers fetch the new deployment.
-		_, bsp := obs.Child(ctx, spanReplanBump)
-		bsp.SetAttr("job", j.id)
-		j.mu.Lock()
-		j.bumpLocked()
-		bsp.SetAttr("version", strconv.Itoa(j.version))
-		j.mu.Unlock()
-		bsp.End()
 	}
+	// The re-plan runs through the instrumented grid planner over the
+	// forecast window — the MPC counterpart of forecast.Planner,
+	// reported as its own planning layer.
+	sctx, sv := obs.Child(ctx, spanReplanSolve)
+	sv.SetAttr("job", in.j.id)
+	p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: in.table, Signal: st.Window(fc)}),
+		"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
+	res, err := p.Plan(pln.Request{
+		Target:     st.Left(),
+		Objective:  st.Objective,
+		PowerScale: float64(in.pipes),
+	})
+	sv.Fail(err)
+	sv.End()
+	if err != nil {
+		s.obs.replanFails.Inc()
+		return err
+	}
+	plan := res.(*grid.Plan)
+	st.Install(plan, fc.Signal)
+	st.needPlan = false
+	now := s.st.now()
+	st.lastPlanAt = now
+	s.obs.replans.Inc()
+	s.obs.ring.Emit(now, "controller.replan", 0, traceKV(ctx,
+		"job", in.j.id, "plan", strconv.Itoa(st.Plans),
+		"feasible", strconv.FormatBool(plan.Feasible))...)
+	// The rolling schedule changed: bump the job's version so
+	// long-polling trainers fetch the new deployment.
+	_, bsp := obs.Child(ctx, spanReplanBump)
+	bsp.SetAttr("job", in.j.id)
+	in.j.mu.Lock()
+	in.j.bumpLocked()
+	bsp.SetAttr("version", strconv.Itoa(in.j.version))
+	in.j.mu.Unlock()
+	bsp.End()
 	return nil
 }
 
 // replanView renders the current rolling-horizon state. Callers hold
 // replanMu.
 func replanView(id string, st *replanState) *ReplanResponse {
-	remaining := st.target - st.doneIters
-	if remaining < 1e-9*(1+st.target) {
+	remaining := st.Left()
+	if st.Complete() {
 		remaining = 0
 	}
 	resp := &ReplanResponse{
 		JobID:               id,
-		Target:              st.target,
-		DeadlineS:           st.deadlineS,
-		Objective:           string(st.objective),
-		Quantile:            st.quantile,
-		Plans:               st.plans,
-		DoneIterations:      st.doneIters,
+		Target:              st.Target,
+		DeadlineS:           st.DeadlineS,
+		Objective:           string(st.Objective),
+		Quantile:            st.Quantile,
+		Plans:               st.Plans,
+		DoneIterations:      st.DoneIterations,
 		RemainingIterations: remaining,
-		Feasible:            st.feasible,
-		Frozen:              st.frozen,
-		Remaining:           st.remaining,
-		RemainingOffsetS:    st.offsetS,
+		Feasible:            st.Complete() || (st.Plan != nil && st.Plan.Feasible),
+		Frozen:              st.Frozen,
+		Remaining:           st.Plan,
+		RemainingOffsetS:    st.OffsetS,
 	}
-	for _, fi := range st.frozen {
+	for _, fi := range st.Frozen {
 		resp.EnergyJ += fi.EnergyJ
 		resp.CarbonG += fi.CarbonG
 		resp.CostUSD += fi.CostUSD

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/forecast"
 	"perseus/internal/grid"
 )
 
@@ -450,15 +451,14 @@ func TestSignalReinstallResetsForecastState(t *testing.T) {
 	}
 }
 
-// TestReplanWarmStartOnTailRevision pins the warm-start path under a
-// fake clock: a forecast revision that leaves the quantile view over
-// the remaining window bit-identical (here, re-issuing the same model
-// with a longer horizon — a tail-only revision past the deadline)
-// reuses the running plan instead of re-solving. The executed prefix
-// is untouched, the plan counter does not bump, and
-// perseus_planner_warm_starts_total records the reuse. Advancing the
-// clock afterwards still takes the cold path.
-func TestReplanWarmStartOnTailRevision(t *testing.T) {
+// TestReplanMatchesOfflineMPC steps a fake clock through every interval
+// of the signal under the revisions issuer, rolling the schedule
+// forward at each boundary and once more at the deadline, and checks
+// the frozen spans against the offline controller forecast.Replan on
+// the same table, signal, seed and deadline: the same span boundaries
+// and Replanned marks, and the same per-span iterations, energy,
+// carbon and cost.
+func TestReplanMatchesOfflineMPC(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
 	srv.SetClock(clock.Now)
@@ -473,69 +473,48 @@ func TestReplanWarmStartOnTailRevision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.UploadGridSignal(forecastTestSignal(), ""); err != nil {
+	sig := forecastTestSignal()
+	if _, err := cl.UploadGridSignal(sig, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.InstallForecast("persistence", 0, 0, 0); err != nil {
+	const seed, sigma = 3, 0.2
+	if _, err := cl.InstallRevisionsForecast(seed, sigma, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	target := math.Floor(0.6 * sig.Horizon() / tbl.TStar())
+	deadline := sig.Horizon()
 
-	target := math.Floor(0.8 * 14400 / tbl.Tmin())
-	const deadline = 14400.0
-	first, err := cl.FetchReplan(id, target, deadline, "", 0)
+	var got client.Replan
+	at := 0.0
+	for _, iv := range append(sig.Intervals, grid.Interval{StartS: deadline}) {
+		clock.Advance(time.Duration(iv.StartS-at) * time.Second)
+		at = iv.StartS
+		if got, err = cl.FetchReplan(id, target, deadline, "", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := forecast.Replan(tbl, &forecast.Revisions{Truth: &sig, Seed: seed, Sigma: sigma}, &sig,
+		forecast.Options{Target: target, DeadlineS: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Plans != 1 || len(first.Frozen) != 0 {
-		t.Fatalf("first replan %+v", first)
+	if len(want.Intervals) == 0 || !want.Intervals[0].Replanned {
+		t.Fatalf("offline MPC executed no fresh plan: %+v", want.Intervals)
 	}
-
-	// Tail-only revision: the same model re-issued with a longer
-	// horizon bumps the forecast revision counter, but the view inside
-	// [now, deadline] is identical, so the next roll-forward must keep
-	// the running plan.
-	if _, err := cl.InstallForecast("persistence", 0, 0, 28800); err != nil {
-		t.Fatal(err)
+	if got.Plans != want.Plans || len(got.Frozen) != len(want.Intervals) {
+		t.Fatalf("server: %d plans, %d spans; offline: %d plans, %d spans",
+			got.Plans, len(got.Frozen), want.Plans, len(want.Intervals))
 	}
-	warm, err := cl.FetchReplan(id, target, deadline, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Plans != 1 {
-		t.Fatalf("tail-only revision re-planned: plans %d, want 1", warm.Plans)
-	}
-	if len(warm.Frozen) != 0 || warm.DoneIterations != 0 || warm.RemainingOffsetS != 0 {
-		t.Fatalf("warm start touched the executed prefix: %+v", warm)
-	}
-	if warm.Remaining == nil || math.Abs(warm.Remaining.Iterations-first.Remaining.Iterations) > 1e-12 {
-		t.Fatalf("warm start altered the plan: %+v vs %+v", warm.Remaining, first.Remaining)
-	}
-	text, err := cl.FetchMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "perseus_planner_warm_starts_total 1") {
-		t.Fatalf("metrics missing warm-start count of 1:\n%s", text)
-	}
-	if !strings.Contains(text, "perseus_planner_workers ") {
-		t.Fatal("metrics missing perseus_planner_workers gauge")
-	}
-
-	// Time advancing past the plan offset is never warm: the executed
-	// hour must freeze and the remainder re-solve.
-	clock.Advance(time.Hour)
-	cold, err := cl.FetchReplan(id, target, deadline, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Plans != 2 || len(cold.Frozen) != 1 {
-		t.Fatalf("time advance did not re-plan: %+v", cold)
-	}
-	text, err = cl.FetchMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "perseus_planner_warm_starts_total 1") {
-		t.Fatal("cold roll-forward incremented the warm-start counter")
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for i, g := range got.Frozen {
+		w := want.Intervals[i]
+		if g.StartS != w.StartS || g.EndS != w.EndS || g.Replanned != w.Replanned {
+			t.Fatalf("span %d: server [%v, %v) replanned=%v, offline [%v, %v) replanned=%v",
+				i, g.StartS, g.EndS, g.Replanned, w.StartS, w.EndS, w.Replanned)
+		}
+		if !near(g.Iterations, w.Iterations) || !near(g.EnergyJ, w.EnergyJ) ||
+			!near(g.CarbonG, w.CarbonG) || !near(g.CostUSD, w.CostUSD) {
+			t.Fatalf("span %d: server %+v, offline %+v", i, g, w)
+		}
 	}
 }

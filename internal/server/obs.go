@@ -46,7 +46,6 @@ type serverObs struct {
 	tickDur     *obs.Histogram
 	replans     *obs.Counter
 	replanFails *obs.Counter
-	warmStarts  *obs.Counter
 	planWorkers *obs.Gauge
 
 	// Job registry and deployment (jobs.go, store.go).
@@ -184,8 +183,6 @@ func newServerObs() *serverObs {
 			"Successful rolling-horizon re-plans (client replans, ManageJob, and controller ticks)."),
 		replanFails: r.Counter("perseus_controller_replan_failures_total",
 			"Rolling-horizon roll-forwards that failed (forecast issue or solve error)."),
-		warmStarts: r.Counter("perseus_planner_warm_starts_total",
-			"Roll-forwards that reused the running plan because the forecast revision left the remaining window unchanged."),
 		planWorkers: r.Gauge("perseus_planner_workers",
 			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
 

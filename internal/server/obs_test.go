@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"perseus/internal/client"
 	"perseus/internal/obs"
+	"perseus/internal/region"
 )
 
 // TestObservabilityEndpoints drives one end-to-end planning flow and
@@ -60,6 +62,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`perseus_planner_plan_duration_seconds_count{planner="grid",objective="carbon"} 1`,
 		"# TYPE perseus_http_request_duration_seconds histogram",
 		"perseus_controller_ticks_total 0",
+		fmt.Sprintf("perseus_planner_workers %d", region.DefaultWorkers()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
